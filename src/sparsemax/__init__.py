@@ -1,111 +1,25 @@
-"""Sparse probability transforms and the losses and experiments built on them."""
+"""Sparse probability transforms and the losses and experiments built on them.
 
-from .simplex import (
-    BRUTE_FORCE_MAX_DIM,
-    SupportSet,
-    brute_force_projection,
-    softmax,
-    sparsemax,
-    threshold_and_support,
-)
-from .jacobians import (
-    OpCounter,
-    softmax_jacobian,
-    softmax_jvp,
-    sparsemax_jacobian,
-    sparsemax_jvp,
-)
-from .losses import (
-    LossValue,
-    delta_distribution,
-    huber_binary_reference,
-    logistic_loss,
-    logistic_loss_multi,
-    sparsemax_loss,
-    sparsemax_loss_multi,
-)
-from .metrics import MetricReport, js_divergence, micro_macro_f1, mse
-from .datasets import (
-    MIXTURE_DIRICHLET,
-    MIXTURE_UNIFORM,
-    LabeledDataset,
-    SyntheticConfig,
-    generate_synthetic,
-    read_libsvm_multilabel,
-    standardize_features,
-    write_libsvm_multilabel,
-)
-from .linear_model import (
-    LOSS_BINARY_LOGISTIC,
-    LOSS_KINDS,
-    LOSS_LOGISTIC,
-    LOSS_SPARSEMAX,
-    RULE_LOGISTIC_THRESHOLD,
-    RULE_SOFTMAX_THRESHOLD,
-    RULE_SPARSEMAX_SCALE,
-    DecisionRule,
-    LinearModel,
-    TrainConfig,
-    cross_validate,
-    fit,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-    predict_labels,
-    predict_scores,
-    save_model,
-)
+The package re-exports the public names of each module, as listed in the
+module's ``__all__``.
+"""
+
+from . import datasets, jacobians, linear_model, losses, metrics, simplex
+from .datasets import *  # noqa: F401,F403
+from .jacobians import *  # noqa: F401,F403
+from .linear_model import *  # noqa: F401,F403
+from .losses import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .simplex import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_MAX_DIM",
-    "SupportSet",
-    "brute_force_projection",
-    "softmax",
-    "sparsemax",
-    "threshold_and_support",
-    "OpCounter",
-    "softmax_jacobian",
-    "softmax_jvp",
-    "sparsemax_jacobian",
-    "sparsemax_jvp",
-    "LossValue",
-    "delta_distribution",
-    "huber_binary_reference",
-    "logistic_loss",
-    "logistic_loss_multi",
-    "sparsemax_loss",
-    "sparsemax_loss_multi",
-    "MetricReport",
-    "js_divergence",
-    "micro_macro_f1",
-    "mse",
-    "MIXTURE_DIRICHLET",
-    "MIXTURE_UNIFORM",
-    "LabeledDataset",
-    "SyntheticConfig",
-    "generate_synthetic",
-    "read_libsvm_multilabel",
-    "standardize_features",
-    "write_libsvm_multilabel",
-    "LOSS_BINARY_LOGISTIC",
-    "LOSS_KINDS",
-    "LOSS_LOGISTIC",
-    "LOSS_SPARSEMAX",
-    "RULE_LOGISTIC_THRESHOLD",
-    "RULE_SOFTMAX_THRESHOLD",
-    "RULE_SPARSEMAX_SCALE",
-    "DecisionRule",
-    "LinearModel",
-    "TrainConfig",
-    "cross_validate",
-    "fit",
-    "load_model",
-    "model_from_dict",
-    "model_to_dict",
-    "predict_labels",
-    "predict_scores",
-    "save_model",
+    *simplex.__all__,
+    *jacobians.__all__,
+    *losses.__all__,
+    *metrics.__all__,
+    *datasets.__all__,
+    *linear_model.__all__,
     "__version__",
 ]

@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from .datasets import (
-    MIXTURE_DIRICHLET,
     MIXTURE_UNIFORM,
     LabeledDataset,
     SyntheticConfig,
@@ -37,20 +36,10 @@ from .datasets import (
     read_libsvm_multilabel,
     standardize_features,
 )
-from .linear_model import (
-    LOSS_BINARY_LOGISTIC,
-    LOSS_LOGISTIC,
-    LOSS_SPARSEMAX,
-    DecisionRule,
-    TrainConfig,
-    cross_validate,
-    fit,
-    predict_labels,
-    _softmax_rows,
-    _sparsemax_rows,
-)
-from .metrics import js_divergence, micro_macro_f1, mse
-from .simplex import softmax, sparsemax, threshold_and_support
+from .linear_model import DecisionRule, TrainConfig, cross_validate, decide_rows, fit, predict_scores
+from .losses import LOSS_BINARY_LOGISTIC, LOSS_LOGISTIC, LOSS_SPARSEMAX
+from .metrics import js_divergence_rows, micro_macro_f1_rows, mse_rows
+from .simplex import softmax, softmax_rows, sparsemax, sparsemax_rows, threshold_and_support
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +58,6 @@ METHODS = {
 _LABELPROP_REQUIRED = {"n_labels", "n_train", "n_test", "doc_lengths"}
 _LABELPROP_ALLOWED = _LABELPROP_REQUIRED | {
     "mean_labels",
-    "mixture",
     "mixtures",
     "losses",
     "folds",
@@ -178,15 +166,10 @@ def cmd_transform(args) -> int:
 # labelprop
 
 
-def _mean_proportion_metrics(model, data: LabeledDataset, loss_kind: str) -> tuple[float, float]:
-    scores = data.X @ model.W.T + model.b
-    if loss_kind == LOSS_SPARSEMAX:
-        predicted = _sparsemax_rows(scores)
-    else:
-        predicted = _softmax_rows(scores)
-    mses = [mse(q, p) for q, p in zip(data.Q, predicted)]
-    jss = [js_divergence(q, p) for q, p in zip(data.Q, predicted)]
-    return float(np.mean(mses)), float(np.mean(jss))
+def _proportions(model, data: LabeledDataset, loss_kind: str) -> np.ndarray:
+    """Predicted label proportions (N, K) of a split: the model's transform of its scores."""
+    transform = sparsemax_rows if loss_kind == LOSS_SPARSEMAX else softmax_rows
+    return transform(predict_scores(model, data.X))
 
 
 def _cell_seed(seed: int, mixture_index: int, length_index: int) -> int:
@@ -202,7 +185,7 @@ def run_labelprop(config: dict, seed: int) -> dict:
     missing = _LABELPROP_REQUIRED - set(config)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    mixtures = config.get("mixtures", [config.get("mixture", MIXTURE_UNIFORM)])
+    mixtures = config.get("mixtures", [MIXTURE_UNIFORM])
     losses = config.get("losses", [LOSS_LOGISTIC, LOSS_SPARSEMAX])
     for loss in losses:
         if loss not in (LOSS_LOGISTIC, LOSS_SPARSEMAX):
@@ -216,7 +199,6 @@ def run_labelprop(config: dict, seed: int) -> dict:
         "max_epochs": int(config.get("max_epochs", 200)),
         "learning_rate": float(config.get("learning_rate", 1.0)),
         "convergence_tol": float(config.get("convergence_tol", 1e-7)),
-        "seed": seed,
     }
     echo = {
         "n_labels": int(config["n_labels"]),
@@ -252,14 +234,13 @@ def run_labelprop(config: dict, seed: int) -> dict:
 
                 def evaluate(fold_i, tr, va, lam, param, _loss=loss):
                     model = fit(tr, TrainConfig(lam=lam, **train_kwargs), _loss)
-                    _, js = _mean_proportion_metrics(model, va, _loss)
-                    return -js
+                    return -float(js_divergence_rows(va.Q, _proportions(model, va, _loss)).mean())
 
                 best_lam, _ = cross_validate(
                     train, [(lam, None) for lam in lambdas], folds, evaluate, seed=data_cfg.seed
                 )
                 model = fit(train, TrainConfig(lam=best_lam, **train_kwargs), loss)
-                mse_mean, js_mean = _mean_proportion_metrics(model, test, loss)
+                predicted = _proportions(model, test, loss)
                 cells.append(
                     {
                         "cell_index": cell_index,
@@ -267,8 +248,8 @@ def run_labelprop(config: dict, seed: int) -> dict:
                         "doc_length": int(length),
                         "loss": loss,
                         "lambda": float(best_lam),
-                        "mse": mse_mean,
-                        "js_divergence": js_mean,
+                        "mse": float(mse_rows(test.Q, predicted).mean()),
+                        "js_divergence": float(js_divergence_rows(test.Q, predicted).mean()),
                         "n_train": train.n_examples,
                         "n_test": test.n_examples,
                     }
@@ -332,26 +313,24 @@ def run_multilabel(
         "max_epochs": max_epochs,
         "learning_rate": learning_rate,
         "convergence_tol": convergence_tol,
-        "seed": seed,
     }
     grid = [(float(lam), float(p)) for lam in lambdas for p in rule_params]
-    models = {}
+    # Validation scores of each (fold, lam) model; every rule parameter reuses them.
+    val_scores = {}
 
     def evaluate(fold_i, tr, va, lam, param):
         key = (fold_i, lam)
-        if key not in models:
-            models[key] = fit(tr, TrainConfig(lam=lam, **train_kwargs), loss_kind)
-        model = models[key]
-        rule = DecisionRule(kind=rule_kind, param=param)
-        preds = [predict_labels(model, x, rule) for x in va.X]
-        micro, _ = micro_macro_f1(preds, va.label_sets(), va.n_labels)
+        if key not in val_scores:
+            model = fit(tr, TrainConfig(lam=lam, **train_kwargs), loss_kind)
+            val_scores[key] = predict_scores(model, va.X)
+        on = decide_rows(val_scores[key], DecisionRule(kind=rule_kind, param=param))
+        micro, _ = micro_macro_f1_rows(on, va.Q > 0.0)
         return micro
 
     best_lam, best_param = cross_validate(train, grid, folds, evaluate, seed=seed)
     model = fit(train, TrainConfig(lam=best_lam, **train_kwargs), loss_kind)
-    rule = DecisionRule(kind=rule_kind, param=best_param)
-    preds = [predict_labels(model, x, rule) for x in test.X]
-    micro, macro = micro_macro_f1(preds, test.label_sets(), test.n_labels)
+    on = decide_rows(predict_scores(model, test.X), DecisionRule(kind=rule_kind, param=best_param))
+    micro, macro = micro_macro_f1_rows(on, test.Q > 0.0)
     cell = {
         "cell_index": 0,
         "method": method,

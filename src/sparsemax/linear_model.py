@@ -8,7 +8,13 @@ logistic losses (one per label, with targets q_i > 0).
 
 Set-valued prediction is done by a :class:`DecisionRule`: thresholding the
 per-label sigmoid, thresholding the softmax, or taking the support of
-sparsemax applied to scaled scores.
+sparsemax applied to scaled scores.  :func:`decide_rows` applies a rule to
+a whole (N, K) score matrix; :func:`predict_labels` to one example.
+
+This module holds training and prediction only.  The formulas it uses
+live with their math: the loss values and gradients in
+``losses.loss_rows`` (with the ``LOSS_*`` kinds), softmax, sparsemax and
+the threshold in ``simplex``, and the sigmoid in ``losses``.
 """
 
 from __future__ import annotations
@@ -19,13 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .simplex import softmax, sparsemax
+from .losses import LOSS_KINDS, loss_rows, sigmoid
+from .simplex import check_scores, softmax_rows, sparsemax_rows
 
 __all__ = [
-    "LOSS_LOGISTIC",
-    "LOSS_SPARSEMAX",
-    "LOSS_BINARY_LOGISTIC",
-    "LOSS_KINDS",
     "RULE_LOGISTIC_THRESHOLD",
     "RULE_SOFTMAX_THRESHOLD",
     "RULE_SPARSEMAX_SCALE",
@@ -35,17 +38,13 @@ __all__ = [
     "fit",
     "predict_scores",
     "predict_labels",
+    "decide_rows",
     "cross_validate",
     "model_to_dict",
     "model_from_dict",
     "save_model",
     "load_model",
 ]
-
-LOSS_LOGISTIC = "logistic"
-LOSS_SPARSEMAX = "sparsemax"
-LOSS_BINARY_LOGISTIC = "independent-binary-logistic"
-LOSS_KINDS = (LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC)
 
 RULE_LOGISTIC_THRESHOLD = "logistic_threshold"
 RULE_SOFTMAX_THRESHOLD = "softmax_threshold"
@@ -83,7 +82,6 @@ class TrainConfig:
     max_epochs: int = 100
     learning_rate: float = 1.0
     convergence_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -94,8 +92,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -124,89 +120,9 @@ class DecisionRule:
             raise ValueError(f"unknown decision rule {self.kind!r}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
-def _row_shifted_threshold(scores: np.ndarray):
-    """Max-shifted scores and the threshold of their projection, per row.
-
-    Row by row the same computation as simplex._shifted_threshold, clamp
-    included, so the support of each row is exactly shifted > tau.
-    """
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    z_sorted = -np.sort(-shifted, axis=1)
-    cssv = np.cumsum(z_sorted, axis=1)
-    n_rows, n_cols = scores.shape
-    ks = np.arange(1, n_cols + 1)
-    feasible = 1.0 + ks * z_sorted > cssv
-    k = n_cols - np.argmax(feasible[:, ::-1], axis=1)
-    rows = np.arange(n_rows)
-    tau = (cssv[rows, k - 1] - 1.0) / k
-    below = np.where(k < n_cols, z_sorted[rows, np.minimum(k, n_cols - 1)], -np.inf)
-    tau = np.minimum(np.maximum(tau, below), np.nextafter(z_sorted[rows, k - 1], -np.inf))
-    return shifted, tau
-
-
-def _row_threshold(scores: np.ndarray):
-    """Support size and sparsemax threshold per row of a score matrix.
-
-    Row by row the same computation as simplex.threshold_and_support: the
-    shifted threshold moved back by the row maximum and clamped between
-    the largest score off the support and the smallest on it, so the
-    support of each row is exactly scores > tau.
-    """
-    shifted, tau = _row_shifted_threshold(scores)
-    on = shifted > tau[:, None]
-    below = np.where(on, -np.inf, scores).max(axis=1)
-    above = np.nextafter(np.where(on, scores, np.inf).min(axis=1), -np.inf)
-    tau = np.minimum(np.maximum(tau + scores.max(axis=1), below), above)
-    return on.sum(axis=1), tau
-
-
-def _sparsemax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted, tau = _row_shifted_threshold(scores)
-    return np.maximum(shifted - tau[:, None], 0.0)
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _loss_grad_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
-    """Per-example loss values (N,) and score gradients (N, K) for a batch."""
-    if loss_kind == LOSS_LOGISTIC:
-        m = scores.max(axis=1)
-        lse = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-        logq = np.where(targets > 0, np.log(np.where(targets > 0, targets, 1.0)), 0.0)
-        entropy = -(targets * logq).sum(axis=1)
-        values = -entropy - (targets * scores).sum(axis=1) + lse
-        grads = _softmax_rows(scores) - targets
-    elif loss_kind == LOSS_SPARSEMAX:
-        # Fenchel-Young form of losses.sparsemax_loss_multi: every term is
-        # nonnegative, so rounding cannot make a value negative.
-        shifted, tau = _row_shifted_threshold(scores)
-        below = np.maximum(tau[:, None] - shifted, 0.0)
-        grads = np.maximum(shifted - tau[:, None], 0.0) - targets
-        values = 0.5 * (grads * grads).sum(axis=1) + (targets * below).sum(axis=1)
-    elif loss_kind == LOSS_BINARY_LOGISTIC:
-        on = (targets > 0).astype(np.float64)
-        values = (np.logaddexp(0.0, scores) - on * scores).sum(axis=1)
-        grads = _sigmoid(scores) - on
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return values, grads
-
-
 def _objective(W, b, X, Q, lam, loss_kind, want_grad=True):
     scores = X @ W.T + b
-    values, grads = _loss_grad_rows(scores, Q, loss_kind)
+    values, grads = loss_rows(scores, Q, loss_kind)
     value = 0.5 * lam * float(np.sum(W * W)) + float(values.mean())
     if not want_grad:
         return value, None, None
@@ -273,24 +189,30 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     return LinearModel(W=W, b=b, loss_kind=loss_kind)
 
 
-def predict_scores(model: LinearModel, x) -> np.ndarray:
-    """Label scores W x + b for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected a feature vector of length {model.n_features}")
-    return model.W @ x + model.b
+def predict_scores(model: LinearModel, X) -> np.ndarray:
+    """Label scores X W^T + b: (K,) for one feature vector, (N, K) for rows (N, D)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2) or X.shape[-1] != model.n_features:
+        raise ValueError(f"expected feature vectors of length {model.n_features}")
+    return X @ model.W.T + model.b
+
+
+def decide_rows(scores: np.ndarray, rule: DecisionRule) -> np.ndarray:
+    """Boolean indicators of the labels the rule switches on, per row of scores.
+
+    scores is (N, K), or one (K,) row; the result has the same shape.
+    """
+    if rule.kind == RULE_LOGISTIC_THRESHOLD:
+        return sigmoid(scores) > rule.param
+    if rule.kind == RULE_SOFTMAX_THRESHOLD:
+        return softmax_rows(scores) > rule.param
+    return sparsemax_rows(rule.param * scores) > 0.0
 
 
 def predict_labels(model: LinearModel, x, rule: DecisionRule) -> set[int]:
     """Set of 0-based labels switched on by the decision rule (may be empty)."""
-    z = predict_scores(model, x)
-    if rule.kind == RULE_LOGISTIC_THRESHOLD:
-        on = _sigmoid(z) > rule.param
-    elif rule.kind == RULE_SOFTMAX_THRESHOLD:
-        on = softmax(z) > rule.param
-    else:
-        on = sparsemax(rule.param * z) > 0.0
-    return set(np.nonzero(on)[0].tolist())
+    on = decide_rows(check_scores(predict_scores(model, x)), rule)
+    return set(np.flatnonzero(on).tolist())
 
 
 def cross_validate(data: LabeledDataset, grid, folds: int, evaluate, seed: int = 0):

@@ -5,6 +5,12 @@ call, so one threshold computation is shared between the two.  Labels are
 0-based.  The ``_multi`` variants accept an arbitrary target distribution
 q on the simplex and reduce exactly to the single-label forms when q is a
 one-hot vector.
+
+Every loss formula lives once, in :func:`loss_rows`, which evaluates a
+whole batch of score rows against their targets; the training objective
+of ``linear_model`` calls it directly.  The 1-D functions validate one
+score vector and call it on that row.  Softmax, the sparsemax threshold
+and the projection come from ``simplex``.
 """
 
 from __future__ import annotations
@@ -13,17 +19,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import _as_scores, _shifted_threshold, softmax
+from .simplex import check_scores, project_shifted, shifted_threshold, softmax_rows
 
 __all__ = [
+    "LOSS_LOGISTIC",
+    "LOSS_SPARSEMAX",
+    "LOSS_BINARY_LOGISTIC",
+    "LOSS_KINDS",
     "LossValue",
     "delta_distribution",
+    "loss_rows",
+    "sigmoid",
     "logistic_loss",
     "sparsemax_loss",
     "logistic_loss_multi",
     "sparsemax_loss_multi",
     "huber_binary_reference",
 ]
+
+LOSS_LOGISTIC = "logistic"
+LOSS_SPARSEMAX = "sparsemax"
+LOSS_BINARY_LOGISTIC = "independent-binary-logistic"
+LOSS_KINDS = (LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC)
 
 
 class LossValue(NamedTuple):
@@ -40,13 +57,6 @@ def delta_distribution(k: int, dim: int) -> np.ndarray:
     return q
 
 
-def _check_label(k: int, dim: int) -> int:
-    k = int(k)
-    if not 0 <= k < dim:
-        raise ValueError(f"label {k} out of range for {dim} classes")
-    return k
-
-
 def _check_target(q, dim: int) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (dim,):
@@ -58,19 +68,76 @@ def _check_target(q, dim: int) -> np.ndarray:
     return q
 
 
-def _log_sum_exp(z: np.ndarray) -> float:
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, without overflow for scores of either sign."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
+    """Loss values and score gradients of rows of scores against their targets.
+
+    scores and targets are (N, K), or one (K,) row each; returns values
+    (N,) and gradients (N, K), or a scalar and a (K,) vector.  Inputs are
+    trusted, as in training; the 1-D losses validate before calling.
+
+    logistic:  KL(q || softmax(z)) = -H(q) - <q, z> + logsumexp(z), with
+               0 log 0 = 0; gradient softmax(z) - q.
+    sparsemax: the Fenchel-Young form (Blondel, Martins & Niculae 2020)
+
+                   ||p - q||^2 / 2 + sum_j q_j * max(tau - z_j, 0),
+
+               p = sparsemax(z), on the max-shifted scores and threshold
+               of simplex.shifted_threshold; gradient p - q.  It equals
+               (||q - z||^2 - ||p - z||^2) / 2, so it vanishes exactly
+               when p == q.  Each term is nonnegative, so rounding cannot
+               push the value below zero.  The max is zero on the support,
+               and off it z_j <= tau by the optimality conditions of the
+               projection, so in exact arithmetic it changes nothing.  The
+               expanded form -<q, z> + sum_S (z_j^2 - tau^2) / 2 +
+               ||q||^2 / 2 would cancel catastrophically once one score
+               wins by a margin over 1 and can land an ulp below zero.
+    independent-binary-logistic: sum_k log(1 + e^z_k) - [q_k > 0] z_k;
+               gradient sigmoid(z) - [q > 0].
+    """
+    if loss_kind == LOSS_LOGISTIC:
+        m = scores.max(axis=-1, keepdims=True)
+        lse = m[..., 0] + np.log(np.exp(scores - m).sum(axis=-1))
+        logq = np.where(targets > 0, np.log(np.where(targets > 0, targets, 1.0)), 0.0)
+        entropy = -(targets * logq).sum(axis=-1)
+        values = -entropy - (targets * scores).sum(axis=-1) + lse
+        grads = softmax_rows(scores) - targets
+    elif loss_kind == LOSS_SPARSEMAX:
+        shifted, tau = shifted_threshold(scores)
+        grads = project_shifted(shifted, tau) - targets
+        below = np.maximum(tau - shifted, 0.0)
+        values = 0.5 * (grads * grads).sum(axis=-1) + (targets * below).sum(axis=-1)
+    elif loss_kind == LOSS_BINARY_LOGISTIC:
+        on = (targets > 0).astype(np.float64)
+        values = (np.logaddexp(0.0, scores) - on * scores).sum(axis=-1)
+        grads = sigmoid(scores) - on
+    else:
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    return values, grads
+
+
+def _loss_value(z, q, loss_kind: str) -> LossValue:
+    value, grad = loss_rows(z, q, loss_kind)
+    return LossValue(float(value), grad)
 
 
 def logistic_loss(z, k: int) -> LossValue:
-    """Negative log-likelihood of label k under softmax scores."""
-    z = _as_scores(z)
-    k = _check_label(k, z.size)
-    value = -z[k] + _log_sum_exp(z)
-    grad = softmax(z)
-    grad[k] -= 1.0
-    return LossValue(float(value), grad)
+    """Negative log-likelihood of label k under softmax scores.
+
+    The same evaluation as :func:`logistic_loss_multi` against the one-hot
+    target; the gradient is softmax(z) minus that target.
+    """
+    z = check_scores(z)
+    return _loss_value(z, delta_distribution(int(k), z.size), LOSS_LOGISTIC)
 
 
 def sparsemax_loss(z, k: int) -> LossValue:
@@ -83,45 +150,24 @@ def sparsemax_loss(z, k: int) -> LossValue:
     threshold is exactly -1 and sparsemax(z)_k exactly 1, so the value and
     the gradient are a literal 0.0.
     """
-    z = _as_scores(z)
-    return sparsemax_loss_multi(z, delta_distribution(_check_label(k, z.size), z.size))
+    z = check_scores(z)
+    return _loss_value(z, delta_distribution(int(k), z.size), LOSS_SPARSEMAX)
 
 
 def logistic_loss_multi(z, q) -> LossValue:
-    """KL divergence from softmax(z) to the target q, with 0 log 0 = 0."""
-    z = _as_scores(z)
-    q = _check_target(q, z.size)
-    pos = q > 0.0
-    entropy = -np.sum(q[pos] * np.log(q[pos]))
-    value = -entropy - q @ z + _log_sum_exp(z)
-    return LossValue(float(value), softmax(z) - q)
+    """KL divergence from softmax(z) to the target q; see :func:`loss_rows`."""
+    z = check_scores(z)
+    return _loss_value(z, _check_target(q, z.size), LOSS_LOGISTIC)
 
 
 def sparsemax_loss_multi(z, q) -> LossValue:
-    """Sparse loss against a full target distribution q.
+    """Sparse loss against a full target distribution q; see :func:`loss_rows`.
 
-    Equals (||q - z||^2 - ||sparsemax(z) - z||^2) / 2, so it is nonnegative
-    and vanishes exactly when sparsemax(z) == q.  It is evaluated in the
-    Fenchel-Young form (Blondel, Martins & Niculae 2020)
-
-        ||p - q||^2 / 2 + sum_j q_j * max(tau - z_j, 0),  p = sparsemax(z),
-
-    whose terms are each nonnegative, so rounding cannot push the value
-    below zero.  The max is zero on the support, and off it z_j <= tau by
-    the optimality conditions of the projection, so in exact arithmetic
-    it changes nothing.  The expanded form -<q, z> + sum_S (z_j^2 - tau^2)
-    / 2 + ||q||^2 / 2 would cancel catastrophically once one score wins by
-    a margin over 1 and can land an ulp below zero.  z and tau enter on
-    the max-shifted scale of simplex._shifted_threshold, which leaves the
-    value unchanged in exact arithmetic.  The gradient is sparsemax(z) - q,
-    exactly zero off the supports of sparsemax(z) and q.
+    Nonnegative, and zero exactly when sparsemax(z) == q.  The gradient is
+    sparsemax(z) - q, exactly zero off the supports of sparsemax(z) and q.
     """
-    z = _as_scores(z)
-    q = _check_target(q, z.size)
-    shifted, tau = _shifted_threshold(z)
-    grad = np.maximum(shifted - tau, 0.0) - q
-    value = 0.5 * (grad @ grad) + q @ np.maximum(tau - shifted, 0.0)
-    return LossValue(float(value), grad)
+    z = check_scores(z)
+    return _loss_value(z, _check_target(q, z.size), LOSS_SPARSEMAX)
 
 
 def huber_binary_reference(t: float) -> float:

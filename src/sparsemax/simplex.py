@@ -5,6 +5,13 @@ Softmax is dense: every coordinate stays strictly positive.  Sparsemax is
 the Euclidean projection onto the simplex and routinely assigns exact
 literal zeros, so downstream support logic can rely on ``p > 0`` with no
 epsilon fuzz.
+
+The row kernels ``softmax_rows``, ``sparsemax_rows`` and
+``shifted_threshold`` work along the last axis: on an (N, K) matrix of
+score rows, or on one (K,) row.  They trust their input; the 1-D public
+functions validate a score vector and call them.  The threshold search
+has two kernels, one per shape, because on a single row the row kernel's
+set-up costs more than its sort: 32 against 21 us at K = 10 (README.md).
 """
 
 from __future__ import annotations
@@ -16,8 +23,13 @@ import numpy as np
 
 __all__ = [
     "SupportSet",
+    "check_scores",
     "softmax",
+    "softmax_rows",
     "sparsemax",
+    "sparsemax_rows",
+    "shifted_threshold",
+    "project_shifted",
     "threshold_and_support",
     "brute_force_projection",
     "BRUTE_FORCE_MAX_DIM",
@@ -27,7 +39,8 @@ __all__ = [
 BRUTE_FORCE_MAX_DIM = 20
 
 
-def _as_scores(z) -> np.ndarray:
+def check_scores(z) -> np.ndarray:
+    """z as a float64 score vector; ValueError unless it is 1-D, non-empty and finite."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise ValueError("score vector must be one-dimensional and non-empty")
@@ -50,16 +63,20 @@ class SupportSet:
     k: int
 
 
-def softmax(z) -> np.ndarray:
-    """Exponentiate and normalise z.
+def softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each row of scores, (N, K) or (K,).
 
-    The maximum score is subtracted before exponentiation.  That shift is
-    a mathematical no-op but keeps exp() from overflowing, so arbitrarily
+    The row maximum is subtracted before exponentiation.  That shift is a
+    mathematical no-op but keeps exp() from overflowing, so arbitrarily
     large scores are handled without warnings.
     """
-    z = _as_scores(z)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax(z) -> np.ndarray:
+    """Exponentiate and normalise the score vector z; see softmax_rows."""
+    return softmax_rows(check_scores(z))
 
 
 def _shifted_threshold(z: np.ndarray):
@@ -90,6 +107,48 @@ def _shifted_threshold(z: np.ndarray):
     return shifted, tau
 
 
+def _shifted_threshold_rows(scores: np.ndarray):
+    """Row by row the computation of :func:`_shifted_threshold`, clamp included.
+
+    tau comes back as an (N, 1) column, so it broadcasts against the rows.
+    """
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    z_sorted = -np.sort(-shifted, axis=1)
+    cssv = np.cumsum(z_sorted, axis=1)
+    n_rows, n_cols = scores.shape
+    ks = np.arange(1, n_cols + 1)
+    feasible = 1.0 + ks * z_sorted > cssv
+    k = n_cols - np.argmax(feasible[:, ::-1], axis=1)
+    rows = np.arange(n_rows)
+    tau = (cssv[rows, k - 1] - 1.0) / k
+    below = np.where(k < n_cols, z_sorted[rows, np.minimum(k, n_cols - 1)], -np.inf)
+    tau = np.minimum(np.maximum(tau, below), np.nextafter(z_sorted[rows, k - 1], -np.inf))
+    return shifted, tau[:, None]
+
+
+def shifted_threshold(scores: np.ndarray):
+    """Max-shifted scores and the threshold tau of their projection.
+
+    One row (K,) gives tau as a float, from the 1-D kernel; rows (N, K)
+    give tau as an (N, 1) column, from the row kernel.  Both kernels make
+    the same computation, so a row gets the same tau bit for bit either
+    way, and its support is exactly shifted > tau.
+    """
+    if scores.ndim == 1:
+        return _shifted_threshold(scores)
+    return _shifted_threshold_rows(scores)
+
+
+def project_shifted(shifted: np.ndarray, tau) -> np.ndarray:
+    """The projection max(shifted - tau, 0) from :func:`shifted_threshold`'s output."""
+    return np.maximum(shifted - tau, 0.0)
+
+
+def sparsemax_rows(scores: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of scores, (N, K) or (K,), onto the simplex."""
+    return project_shifted(*shifted_threshold(scores))
+
+
 def threshold_and_support(z) -> SupportSet:
     """Threshold tau and support of the simplex projection of z.
 
@@ -100,7 +159,7 @@ def threshold_and_support(z) -> SupportSet:
     shifted threshold moved back by max(z) and clamped into
     [z_(k+1), z_(k)), so the support is also exactly {i : z_i > tau}.
     """
-    z = _as_scores(z)
+    z = check_scores(z)
     shifted, tau_shifted = _shifted_threshold(z)
     on = shifted > tau_shifted
     below = z[~on].max() if not on.all() else -np.inf
@@ -113,15 +172,11 @@ def sparsemax(z) -> np.ndarray:
     """Euclidean projection of z onto the probability simplex.
 
     Returns max(z - tau, 0), evaluated on the max-shifted scores with the
-    threshold of :func:`_shifted_threshold`.  It is positive exactly on
+    threshold of :func:`shifted_threshold`.  It is positive exactly on
     the support of :func:`threshold_and_support` and a literal 0.0
     elsewhere.
     """
-    z = _as_scores(z)
-    if z.size == 1:
-        return np.ones(1)
-    shifted, tau = _shifted_threshold(z)
-    return np.maximum(shifted - tau, 0.0)
+    return sparsemax_rows(check_scores(z))
 
 
 @lru_cache(maxsize=8)
@@ -145,7 +200,7 @@ def brute_force_projection(z) -> np.ndarray:
     closest to z wins.  Cost grows as 2^K; intended as an independent
     cross-check for :func:`sparsemax`, not for production use.
     """
-    z = _as_scores(z)
+    z = check_scores(z)
     dim = z.size
     if dim > BRUTE_FORCE_MAX_DIM:
         raise ValueError(

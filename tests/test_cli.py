@@ -194,6 +194,15 @@ class TestLabelprop:
         assert code == 2
         assert "unknown config keys" in err
 
+    def test_singular_mixture_key_rejected(self, tmp_path, capsys, labelprop_config):
+        # The sweep takes its mixtures from "mixtures" only; "mixture" is not an alias.
+        config = labelprop_config(mixture="uniform")
+        code, _, err = run_cli(
+            ["labelprop", "--config", str(config), "--out", str(tmp_path / "r.json")], capsys
+        )
+        assert code == 2
+        assert "unknown config keys: ['mixture']" in err
+
     def test_missing_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_labels": 4, "n_train": 10, "n_test": 10}))

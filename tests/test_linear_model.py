@@ -14,26 +14,25 @@ from sparsemax import (
     LinearModel,
     TrainConfig,
     cross_validate,
+    decide_rows,
     fit,
     load_model,
     logistic_loss_multi,
+    loss_rows,
     model_from_dict,
     model_to_dict,
     predict_labels,
     predict_scores,
     save_model,
+    shifted_threshold,
+    softmax,
+    softmax_rows,
     sparsemax,
     sparsemax_loss_multi,
+    sparsemax_rows,
     threshold_and_support,
 )
-from sparsemax.linear_model import (
-    _loss_grad_rows,
-    _objective,
-    _row_threshold,
-    _softmax_rows,
-    _sparsemax_rows,
-)
-from sparsemax.simplex import softmax
+from sparsemax.linear_model import _objective
 
 ALL_LOSSES = (LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC)
 
@@ -71,8 +70,6 @@ class TestConfigs:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(seed=-1)
 
     def test_decision_rule_validation(self):
         DecisionRule(RULE_LOGISTIC_THRESHOLD, 0.0)
@@ -99,28 +96,34 @@ class TestConfigs:
 
 
 class TestBatchedOps:
-    """The row-wise training helpers must agree with the scalar reference ops."""
+    """The row kernels must agree with the 1-D public functions."""
 
     def test_row_threshold_matches_scalar(self):
+        # The row and 1-D threshold kernels are separate code, so they must
+        # give the same tau bit for bit and the support of threshold_and_support.
         rng = np.random.default_rng(4)
         scores = np.vstack([rng.normal(scale=3.0, size=(64, 6)), EDGE_ROWS])
-        k, tau = _row_threshold(scores)
+        shifted, tau = shifted_threshold(scores)
+        assert tau.shape == (scores.shape[0], 1)
         for i, row in enumerate(scores):
+            row_shifted, row_tau = shifted_threshold(row)
             s = threshold_and_support(row)
-            assert k[i] == s.k
-            assert tau[i] == s.tau
+            assert np.array_equal(shifted[i], row_shifted)
+            assert tau[i, 0] == row_tau
+            assert np.array_equal(np.flatnonzero(shifted[i] > tau[i]), s.indices)
+            assert s.k == s.indices.size
 
     def test_sparsemax_rows_match_scalar(self):
         rng = np.random.default_rng(5)
         scores = np.vstack([rng.normal(scale=3.0, size=(64, 6)), EDGE_ROWS])
-        batched = _sparsemax_rows(scores)
+        batched = sparsemax_rows(scores)
         for i, row in enumerate(scores):
             assert np.array_equal(batched[i], sparsemax(row))
 
     def test_softmax_rows_match_scalar(self):
         rng = np.random.default_rng(6)
         scores = rng.normal(scale=3.0, size=(64, 6))
-        batched = _softmax_rows(scores)
+        batched = softmax_rows(scores)
         for i, row in enumerate(scores):
             assert np.array_equal(batched[i], softmax(row))
 
@@ -142,7 +145,7 @@ class TestBatchedOps:
         one_hot = np.eye(5)[labels]
         scores = np.vstack([scores, wide])
         targets = np.vstack([targets, one_hot])
-        values, grads = _loss_grad_rows(scores, targets, loss_kind)
+        values, grads = loss_rows(scores, targets, loss_kind)
         scalar = logistic_loss_multi if loss_kind == LOSS_LOGISTIC else sparsemax_loss_multi
         for i in range(scores.shape[0]):
             ref = scalar(scores[i], targets[i])
@@ -154,7 +157,7 @@ class TestBatchedOps:
         rng = np.random.default_rng(8)
         scores = rng.normal(scale=2.0, size=(40, 5))
         targets = rng.dirichlet(np.ones(5), size=40)
-        values, grads = _loss_grad_rows(scores, targets, LOSS_BINARY_LOGISTIC)
+        values, grads = loss_rows(scores, targets, LOSS_BINARY_LOGISTIC)
         for i in range(scores.shape[0]):
             on = (targets[i] > 0).astype(float)
             ref_value = np.sum(np.logaddexp(0.0, scores[i]) - on * scores[i])
@@ -164,7 +167,7 @@ class TestBatchedOps:
 
     def test_unknown_loss_kind(self):
         with pytest.raises(ValueError):
-            _loss_grad_rows(np.zeros((1, 2)), np.full((1, 2), 0.5), "hinge")
+            loss_rows(np.zeros((1, 2)), np.full((1, 2), 0.5), "hinge")
 
 
 class TestObjective:
@@ -292,6 +295,17 @@ class TestPredict:
             expected = sum(model.W[k, j] * x[j] for j in range(6)) + model.b[k]
             assert z[k] == pytest.approx(expected, abs=1e-12)
 
+    def test_score_rows_match_naive_loops(self):
+        rng = np.random.default_rng(10)
+        model = LinearModel(W=rng.normal(size=(4, 6)), b=rng.normal(size=4), loss_kind=LOSS_LOGISTIC)
+        X = rng.normal(size=(5, 6))
+        Z = predict_scores(model, X)
+        assert Z.shape == (5, 4)
+        for i in range(5):
+            for k in range(4):
+                expected = sum(model.W[k, j] * X[i, j] for j in range(6)) + model.b[k]
+                assert Z[i, k] == pytest.approx(expected, abs=1e-12)
+
     def test_scores_reject_wrong_length(self):
         model = LinearModel(W=np.zeros((2, 3)), b=np.zeros(2), loss_kind=LOSS_LOGISTIC)
         with pytest.raises(ValueError):
@@ -325,6 +339,54 @@ class TestPredict:
             ]
             assert all(b <= a for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] >= 1
+
+
+class TestDecideRows:
+    """decide_rows on a score matrix must switch on what predict_labels does per example."""
+
+    # Rows with exact ties at the threshold: sigmoid(0) == 0.5, a uniform
+    # softmax of exactly 1/4, and sparsemax([1, 0, 0, -1]) whose threshold is
+    # exactly 0 on two scores.  Very negative rows give empty sets.
+    TIE_ROWS = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, -1.0],
+            [2.0, 2.0, 1.0, 1.0],
+            [-40.0, -40.0, -40.0, -40.0],
+            [-40.0, -41.0, -42.0, -43.0],
+        ]
+    )
+    PARAMS = {
+        RULE_LOGISTIC_THRESHOLD: (0.0, 0.05, 0.25, 0.5, 0.75, 1.0),
+        RULE_SOFTMAX_THRESHOLD: (0.0, 0.1, 0.25, 0.5, 1.0),
+        RULE_SPARSEMAX_SCALE: (1.0, 1.5, 2.0, 5.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_rows_match_predict_labels(self, kind):
+        rng = np.random.default_rng(13)
+        scores = np.vstack([rng.normal(scale=2.0, size=(60, 4)), self.TIE_ROWS])
+        # W = I and b = 0 make predict_scores return each row exactly.
+        model = LinearModel(W=np.eye(4), b=np.zeros(4), loss_kind=LOSS_LOGISTIC)
+        seen_empty = seen_full = False
+        for param in self.PARAMS[kind]:
+            rule = DecisionRule(kind, param)
+            on = decide_rows(scores, rule)
+            assert on.shape == scores.shape and on.dtype == bool
+            for z, row in zip(scores, on):
+                labels = predict_labels(model, z, rule)
+                assert set(np.flatnonzero(row).tolist()) == labels
+                seen_empty |= not labels
+                seen_full |= len(labels) == 4
+        assert seen_empty or kind == RULE_SPARSEMAX_SCALE
+        assert seen_full
+
+    def test_ties_stay_off(self):
+        ties = self.TIE_ROWS[:2]
+        assert not decide_rows(ties[:1], DecisionRule(RULE_LOGISTIC_THRESHOLD, 0.5)).any()
+        assert not decide_rows(ties[:1], DecisionRule(RULE_SOFTMAX_THRESHOLD, 0.25)).any()
+        on = decide_rows(ties[1:], DecisionRule(RULE_SPARSEMAX_SCALE, 1.0))
+        assert on.tolist() == [[True, False, False, False]]
 
 
 class TestCrossValidate:

@@ -3,7 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sparsemax import js_divergence, micro_macro_f1, mse
+from sparsemax import (
+    js_divergence,
+    js_divergence_rows,
+    micro_macro_f1,
+    micro_macro_f1_rows,
+    mse,
+    mse_rows,
+)
 
 weights = st.lists(
     st.floats(min_value=1e-6, max_value=1.0, allow_nan=False), min_size=2, max_size=8
@@ -117,3 +124,64 @@ class TestF1:
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
             micro_macro_f1([{5}], [{0}], 2)
+
+
+class TestRows:
+    """The row forms over a split must equal the per-example functions."""
+
+    def pairs(self):
+        rng = np.random.default_rng(1)
+        Q = rng.dirichlet(np.ones(6), size=40)
+        P = rng.dirichlet(np.ones(6), size=40)
+        # Sparse rows: zeros in q, in p, in both, and disjoint supports.
+        Q[:10, :3] = 0.0
+        P[5:15, 2:5] = 0.0
+        Q[20] = [1.0, 0, 0, 0, 0, 0]
+        P[20] = [0, 1.0, 0, 0, 0, 0]
+        Q[21] = P[21]
+        Q /= Q.sum(axis=1, keepdims=True)
+        P /= P.sum(axis=1, keepdims=True)
+        return Q, P
+
+    def test_mse_rows_match_per_example(self):
+        Q, P = self.pairs()
+        rows = mse_rows(Q, P)
+        assert rows.shape == (40,)
+        assert rows.tolist() == [mse(q, p) for q, p in zip(Q, P)]
+
+    def test_js_rows_match_per_example(self):
+        Q, P = self.pairs()
+        rows = js_divergence_rows(Q, P)
+        assert rows.shape == (40,)
+        assert rows.tolist() == [js_divergence(q, p) for q, p in zip(Q, P)]
+        assert rows[21] == 0.0
+        assert rows[20] == pytest.approx(np.log(2.0), abs=1e-15)
+
+    @staticmethod
+    def f1_by_set_counting(predicted, gold, n_labels):
+        """Reference: count per label over the label sets, one example at a time."""
+        tp, fp, fn = np.zeros(n_labels), np.zeros(n_labels), np.zeros(n_labels)
+        for pred, actual in zip(predicted, gold):
+            for k in pred:
+                if k in actual:
+                    tp[k] += 1
+                else:
+                    fp[k] += 1
+            for k in actual - pred:
+                fn[k] += 1
+        micro_denom = 2 * tp.sum() + fp.sum() + fn.sum()
+        micro = float(2 * tp.sum() / micro_denom) if micro_denom > 0 else 0.0
+        per_label = [2 * t / (2 * t + a + b) if 2 * t + a + b > 0 else 0.0 for t, a, b in zip(tp, fp, fn)]
+        return micro, float(np.mean(per_label))
+
+    def test_f1_rows_equal_set_based(self):
+        rng = np.random.default_rng(2)
+        for n_labels in (1, 3, 7):
+            for _ in range(20):
+                n = int(rng.integers(1, 15))
+                predicted = rng.random((n, n_labels)) < rng.random()
+                gold = rng.random((n, n_labels)) < rng.random()
+                sets = lambda on: [set(np.flatnonzero(row).tolist()) for row in on]
+                expected = self.f1_by_set_counting(sets(predicted), sets(gold), n_labels)
+                assert micro_macro_f1_rows(predicted, gold) == expected
+                assert micro_macro_f1(sets(predicted), sets(gold), n_labels) == expected

@@ -25,6 +25,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .datasets import (
     standardize_features,
 )
 from .linear_model import DecisionRule, TrainConfig, cross_validate, decide_rows, fit, predict_scores
+from .linear_model import RULE_LOGISTIC_THRESHOLD, RULE_SOFTMAX_THRESHOLD, RULE_SPARSEMAX_SCALE
 from .losses import LOSS_BINARY_LOGISTIC, LOSS_LOGISTIC, LOSS_SPARSEMAX
 from .metrics import js_divergence_rows, micro_macro_f1_rows, mse_rows
 from .simplex import softmax, softmax_rows, sparsemax, sparsemax_rows, threshold_and_support
@@ -50,9 +52,9 @@ LAMBDA_GRID_MULTILABEL = [10.0**j for j in range(-8, 3)]
 
 # method name -> (training loss, decision rule kind)
 METHODS = {
-    "logistic": (LOSS_BINARY_LOGISTIC, "logistic_threshold"),
-    "softmax": (LOSS_LOGISTIC, "softmax_threshold"),
-    "sparsemax": (LOSS_SPARSEMAX, "sparsemax_scale"),
+    "logistic": (LOSS_BINARY_LOGISTIC, RULE_LOGISTIC_THRESHOLD),
+    "softmax": (LOSS_LOGISTIC, RULE_SOFTMAX_THRESHOLD),
+    "sparsemax": (LOSS_SPARSEMAX, RULE_SPARSEMAX_SCALE),
 }
 
 _LABELPROP_REQUIRED = {"n_labels", "n_train", "n_test", "doc_lengths"}
@@ -195,11 +197,11 @@ def run_labelprop(config: dict, seed: int) -> dict:
         raise ValueError("doc_lengths, mixtures and losses must be non-empty")
     folds = int(config.get("folds", 5))
     lambdas = [float(v) for v in config.get("lambdas", LAMBDA_GRID_LABELPROP)]
-    train_kwargs = {
-        "max_epochs": int(config.get("max_epochs", 200)),
-        "learning_rate": float(config.get("learning_rate", 1.0)),
-        "convergence_tol": float(config.get("convergence_tol", 1e-7)),
-    }
+    train_cfg = TrainConfig(
+        max_epochs=int(config.get("max_epochs", 200)),
+        learning_rate=float(config.get("learning_rate", 1.0)),
+        convergence_tol=float(config.get("convergence_tol", 1e-7)),
+    )
     echo = {
         "n_labels": int(config["n_labels"]),
         "n_train": int(config["n_train"]),
@@ -211,9 +213,9 @@ def run_labelprop(config: dict, seed: int) -> dict:
         "folds": folds,
         "seed": seed,
         "lambdas": lambdas,
-        "max_epochs": train_kwargs["max_epochs"],
-        "learning_rate": train_kwargs["learning_rate"],
-        "convergence_tol": train_kwargs["convergence_tol"],
+        "max_epochs": train_cfg.max_epochs,
+        "learning_rate": train_cfg.learning_rate,
+        "convergence_tol": train_cfg.convergence_tol,
     }
     cells = []
     cell_index = 0
@@ -233,13 +235,13 @@ def run_labelprop(config: dict, seed: int) -> dict:
             for loss in losses:
 
                 def evaluate(fold_i, tr, va, lam, param, _loss=loss):
-                    model = fit(tr, TrainConfig(lam=lam, **train_kwargs), _loss)
+                    model = fit(tr, replace(train_cfg, lam=lam), _loss)
                     return -float(js_divergence_rows(va.Q, _proportions(model, va, _loss)).mean())
 
                 best_lam, _ = cross_validate(
                     train, [(lam, None) for lam in lambdas], folds, evaluate, seed=data_cfg.seed
                 )
-                model = fit(train, TrainConfig(lam=best_lam, **train_kwargs), loss)
+                model = fit(train, replace(train_cfg, lam=best_lam), loss)
                 predicted = _proportions(model, test, loss)
                 cells.append(
                     {
@@ -295,12 +297,10 @@ def run_multilabel(
     test: LabeledDataset,
     method: str,
     seed: int,
+    train_cfg: TrainConfig,
     folds: int = 5,
     lambdas=None,
     rule_params=None,
-    max_epochs: int = 100,
-    learning_rate: float = 1.0,
-    convergence_tol: float = 1e-7,
 ) -> dict:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -309,11 +309,6 @@ def run_multilabel(
         lambdas = LAMBDA_GRID_MULTILABEL
     if rule_params is None:
         rule_params = default_rule_grid(method, train.n_labels)
-    train_kwargs = {
-        "max_epochs": max_epochs,
-        "learning_rate": learning_rate,
-        "convergence_tol": convergence_tol,
-    }
     grid = [(float(lam), float(p)) for lam in lambdas for p in rule_params]
     # Validation scores of each (fold, lam) model; every rule parameter reuses them.
     val_scores = {}
@@ -321,14 +316,14 @@ def run_multilabel(
     def evaluate(fold_i, tr, va, lam, param):
         key = (fold_i, lam)
         if key not in val_scores:
-            model = fit(tr, TrainConfig(lam=lam, **train_kwargs), loss_kind)
+            model = fit(tr, replace(train_cfg, lam=lam), loss_kind)
             val_scores[key] = predict_scores(model, va.X)
         on = decide_rows(val_scores[key], DecisionRule(kind=rule_kind, param=param))
         micro, _ = micro_macro_f1_rows(on, va.Q > 0.0)
         return micro
 
     best_lam, best_param = cross_validate(train, grid, folds, evaluate, seed=seed)
-    model = fit(train, TrainConfig(lam=best_lam, **train_kwargs), loss_kind)
+    model = fit(train, replace(train_cfg, lam=best_lam), loss_kind)
     on = decide_rows(predict_scores(model, test.X), DecisionRule(kind=rule_kind, param=best_param))
     micro, macro = micro_macro_f1_rows(on, test.Q > 0.0)
     cell = {
@@ -347,6 +342,7 @@ def run_multilabel(
 def cmd_multilabel(args) -> int:
     started = time.monotonic()
     seed = args.seed if args.seed is not None else _env_default_seed()
+    train_cfg = TrainConfig(max_epochs=args.max_epochs, learning_rate=args.learning_rate, convergence_tol=args.tol)
     train = read_libsvm_multilabel(args.train)
     test = read_libsvm_multilabel(args.test)
     n_labels = max(train.n_labels, test.n_labels)
@@ -360,12 +356,10 @@ def cmd_multilabel(args) -> int:
         test,
         args.method,
         seed,
+        train_cfg,
         folds=args.folds,
         lambdas=args.lambdas,
         rule_params=args.rule_params,
-        max_epochs=args.max_epochs,
-        learning_rate=args.learning_rate,
-        convergence_tol=args.tol,
     )
     echo = {
         "train": str(args.train),
@@ -375,9 +369,9 @@ def cmd_multilabel(args) -> int:
         "folds": args.folds,
         "lambdas": result["lambdas"],
         "rule_params": result["rule_params"],
-        "max_epochs": args.max_epochs,
-        "learning_rate": args.learning_rate,
-        "convergence_tol": args.tol,
+        "max_epochs": train_cfg.max_epochs,
+        "learning_rate": train_cfg.learning_rate,
+        "convergence_tol": train_cfg.convergence_tol,
         "standardize": not args.no_standardize,
     }
     _write_result(args.out, echo, [result["cell"]])

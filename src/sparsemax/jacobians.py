@@ -5,14 +5,15 @@ Jacobian depends on z only through the support S: with s the 0/1 indicator
 of S it is Diag(s) - s s^T / |S|, i.e. the graph Laplacian of a clique on
 S scaled by 1 / |S|.  At support boundaries, where the map is not
 differentiable, the convention here is to use the Jacobian of the region
-the forward pass actually selected.
+the forward pass actually selected.  Probability vectors are validated by
+``simplex.check_distribution``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .simplex import SupportSet
+from .simplex import SupportSet, check_distribution
 
 __all__ = [
     "OpCounter",
@@ -35,17 +36,6 @@ class OpCounter:
         self.count += int(n)
 
 
-def _check_prob(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be one-dimensional and non-empty")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector must contain only finite values")
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probability vector must be nonnegative and sum to 1")
-    return p
-
-
 def _check_support(support: SupportSet, dim: int) -> np.ndarray:
     idx = np.asarray(support.indices)
     if idx.size == 0:
@@ -60,7 +50,7 @@ def softmax_jacobian(p) -> np.ndarray:
 
     Symmetric, positive semidefinite, rows summing to zero.
     """
-    p = _check_prob(p)
+    p = check_distribution(p)
     return np.diag(p) - np.outer(p, p)
 
 
@@ -79,7 +69,7 @@ def sparsemax_jacobian(support: SupportSet, dim: int) -> np.ndarray:
 
 def softmax_jvp(p, v) -> np.ndarray:
     """Softmax Jacobian-vector product p * (v - <p, v>) without forming the matrix."""
-    p = _check_prob(p)
+    p = check_distribution(p)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != p.shape:
         raise ValueError("vector length must match the probability vector")

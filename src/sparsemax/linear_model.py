@@ -11,7 +11,8 @@ per-label sigmoid, thresholding the softmax, or taking the support of
 sparsemax applied to scaled scores.  :func:`decide_rows` applies a rule to
 a whole (N, K) score matrix; :func:`predict_labels` to one example.
 
-This module holds training and prediction only.  The formulas it uses
+This module holds training, prediction and cross-validation only; models
+are not saved or loaded.  The formulas it uses
 live with their math: the loss values and gradients in
 ``losses.loss_rows`` (with the ``LOSS_*`` kinds), softmax, sparsemax and
 the threshold in ``simplex``, and the sigmoid in ``losses``.
@@ -19,7 +20,6 @@ the threshold in ``simplex``, and the sigmoid in ``losses``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +40,6 @@ __all__ = [
     "predict_labels",
     "decide_rows",
     "cross_validate",
-    "model_to_dict",
-    "model_from_dict",
-    "save_model",
-    "load_model",
 ]
 
 RULE_LOGISTIC_THRESHOLD = "logistic_threshold"
@@ -257,32 +253,3 @@ def cross_validate(data: LabeledDataset, grid, folds: int, evaluate, seed: int =
             best = (lam, param)
             best_score = mean_score
     return best
-
-
-def model_to_dict(model: LinearModel) -> dict:
-    return {
-        "K": model.n_labels,
-        "D": model.n_features,
-        "loss_kind": model.loss_kind,
-        "W": model.W.ravel().tolist(),  # row-major
-        "b": model.b.tolist(),
-    }
-
-
-def model_from_dict(payload: dict) -> LinearModel:
-    n_labels = int(payload["K"])
-    n_features = int(payload["D"])
-    W = np.asarray(payload["W"], dtype=np.float64).reshape(n_labels, n_features)
-    b = np.asarray(payload["b"], dtype=np.float64)
-    return LinearModel(W=W, b=b, loss_kind=payload["loss_kind"])
-
-
-def save_model(model: LinearModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> LinearModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

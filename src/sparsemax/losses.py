@@ -9,8 +9,8 @@ one-hot vector.
 Every loss formula lives once, in :func:`loss_rows`, which evaluates a
 whole batch of score rows against their targets; the training objective
 of ``linear_model`` calls it directly.  The 1-D functions validate one
-score vector and call it on that row.  Softmax, the sparsemax threshold
-and the projection come from ``simplex``.
+score vector and target with ``simplex`` and call it on that row.
+Softmax, the sparsemax threshold and the projection come from ``simplex``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import check_scores, project_shifted, shifted_threshold, softmax_rows
+from .simplex import check_distribution, check_scores, project_shifted, shifted_threshold, softmax_rows
 
 __all__ = [
     "LOSS_LOGISTIC",
@@ -34,7 +34,6 @@ __all__ = [
     "sparsemax_loss",
     "logistic_loss_multi",
     "sparsemax_loss_multi",
-    "huber_binary_reference",
 ]
 
 LOSS_LOGISTIC = "logistic"
@@ -54,17 +53,6 @@ def delta_distribution(k: int, dim: int) -> np.ndarray:
         raise ValueError(f"label {k} out of range for {dim} classes")
     q = np.zeros(dim)
     q[k] = 1.0
-    return q
-
-
-def _check_target(q, dim: int) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (dim,):
-        raise ValueError("target distribution length must match the scores")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("target distribution must contain only finite values")
-    if np.any(q < 0.0) or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("target distribution must be nonnegative and sum to 1")
     return q
 
 
@@ -157,7 +145,7 @@ def sparsemax_loss(z, k: int) -> LossValue:
 def logistic_loss_multi(z, q) -> LossValue:
     """KL divergence from softmax(z) to the target q; see :func:`loss_rows`."""
     z = check_scores(z)
-    return _loss_value(z, _check_target(q, z.size), LOSS_LOGISTIC)
+    return _loss_value(z, check_distribution(q, z.size), LOSS_LOGISTIC)
 
 
 def sparsemax_loss_multi(z, q) -> LossValue:
@@ -167,21 +155,4 @@ def sparsemax_loss_multi(z, q) -> LossValue:
     sparsemax(z) - q, exactly zero off the supports of sparsemax(z) and q.
     """
     z = check_scores(z)
-    return _loss_value(z, _check_target(q, z.size), LOSS_SPARSEMAX)
-
-
-def huber_binary_reference(t: float) -> float:
-    """Modified Huber margin loss of a two-class score difference t.
-
-    Zero past a unit margin, linear for t <= -1, quadratic in between.
-    The two-class sparsemax loss with the first label correct equals this
-    function of t = z_1 - z_2.
-    """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("margin must be finite")
-    if t >= 1.0:
-        return 0.0
-    if t <= -1.0:
-        return -t
-    return (t - 1.0) * (t - 1.0) / 4.0
+    return _loss_value(z, check_distribution(q, z.size), LOSS_SPARSEMAX)

@@ -12,18 +12,20 @@ score rows, or on one (K,) row.  They trust their input; the 1-D public
 functions validate a score vector and call them.  The threshold search
 has two kernels, one per shape, because on a single row the row kernel's
 set-up costs more than its sort: 32 against 21 us at K = 10 (README.md).
+``check_scores`` and ``check_distribution`` validate the 1-D inputs of
+this module, ``losses`` and ``jacobians``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "SupportSet",
     "check_scores",
+    "check_distribution",
     "softmax",
     "softmax_rows",
     "sparsemax",
@@ -31,12 +33,7 @@ __all__ = [
     "shifted_threshold",
     "project_shifted",
     "threshold_and_support",
-    "brute_force_projection",
-    "BRUTE_FORCE_MAX_DIM",
 ]
-
-# Exhaustive support enumeration costs 2^K - 1 candidates per call.
-BRUTE_FORCE_MAX_DIM = 20
 
 
 def check_scores(z) -> np.ndarray:
@@ -47,6 +44,24 @@ def check_scores(z) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("score vector must contain only finite values")
     return z
+
+
+def check_distribution(p, dim: int | None = None) -> np.ndarray:
+    """p as a float64 point of the simplex; ValueError unless it is one.
+
+    p must be 1-D and non-empty, of length dim when dim is given, finite,
+    nonnegative, and sum to 1 within 1e-9.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("distribution must be one-dimensional and non-empty")
+    if dim is not None and p.size != dim:
+        raise ValueError(f"distribution length {p.size} does not match {dim} scores")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("distribution must contain only finite values")
+    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("distribution must be nonnegative and sum to 1")
+    return p
 
 
 @dataclass(frozen=True)
@@ -177,48 +192,3 @@ def sparsemax(z) -> np.ndarray:
     elsewhere.
     """
     return sparsemax_rows(check_scores(z))
-
-
-@lru_cache(maxsize=8)
-def _support_masks(dim: int) -> np.ndarray:
-    # Rows enumerate every nonempty subset of {0, ..., dim-1} as 0/1 flags.
-    bits = np.arange(1, 2**dim, dtype=np.uint32)
-    return ((bits[:, None] >> np.arange(dim)) & 1).astype(np.int8)
-
-
-def brute_force_projection(z) -> np.ndarray:
-    """Simplex projection by exhaustive support enumeration.
-
-    For every nonempty candidate support S the projection restricted to S
-    must equal z_i - (sum_S z - 1) / |S|, zero elsewhere.  The candidate
-    that is nonnegative on S and satisfies z_i <= threshold off S meets the
-    optimality conditions of the projection problem, which identify the
-    projection uniquely.  Feasibility uses a hairline tolerance: at an
-    exact splitting point the rounded threshold can violate both the
-    including and the excluding support by one ulp, which would otherwise
-    leave no candidate at all.  Among the near-feasible candidates the one
-    closest to z wins.  Cost grows as 2^K; intended as an independent
-    cross-check for :func:`sparsemax`, not for production use.
-    """
-    z = check_scores(z)
-    dim = z.size
-    if dim > BRUTE_FORCE_MAX_DIM:
-        raise ValueError(
-            f"enumeration is limited to K <= {BRUTE_FORCE_MAX_DIM}, got K = {dim}"
-        )
-    masks = _support_masks(dim).astype(np.float64)
-    sizes = masks.sum(axis=1)
-    taus = (masks @ z - 1.0) / sizes
-    gaps = z[None, :] - taus[:, None]
-    candidates = gaps * masks
-    slack = 1e-9 * max(1.0, float(np.abs(z).max()))
-    ok_on = np.all(candidates >= -slack, axis=1)
-    ok_off = np.all(gaps * (1.0 - masks) <= slack, axis=1)
-    hits = np.nonzero(ok_on & ok_off)[0]
-    if hits.size == 0:
-        raise RuntimeError("no support satisfied the optimality conditions")
-    # Clipping removes ulp-sized negatives; adding 0.0 turns the negative
-    # zeros produced by gap * 0 into plain zeros.
-    feasible = np.maximum(candidates[hits], 0.0) + 0.0
-    distances = ((feasible - z) ** 2).sum(axis=1)
-    return feasible[np.argmin(distances)]

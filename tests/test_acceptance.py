@@ -13,13 +13,11 @@ import time
 
 import numpy as np
 
-from helpers import fd_gradient, fd_jacobian, support_margin
+from helpers import brute_force_projection, fd_gradient, fd_jacobian, huber_binary_reference, support_margin
 from sparsemax import (
     OpCounter,
     SyntheticConfig,
-    brute_force_projection,
     generate_synthetic,
-    huber_binary_reference,
     logistic_loss,
     logistic_loss_multi,
     softmax,

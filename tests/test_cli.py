@@ -308,3 +308,41 @@ class TestMultilabel:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert "error:" in err
+
+    def test_bad_training_setting_fails_before_reading_data(self, tmp_path, capsys, libsvm_pair):
+        _, test_path = libsvm_pair
+        argv = [
+            "multilabel",
+            "--train", str(tmp_path / "nope.svm"),
+            "--test", test_path,
+            "--method", "sparsemax",
+            "--out", str(tmp_path / "r.json"),
+            "--max-epochs", "0",
+        ]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "max_epochs" in err
+
+    def test_test_split_with_unseen_label_and_feature_is_padded(self, tmp_path, capsys):
+        # Label 3 and feature 3 occur only in the test split, so both splits
+        # are padded to 3 labels and 3 features.  Rows 1 and 2 get their one
+        # label, row 3 gets none: per-label F1 is [1, 1, 0].
+        train_path = tmp_path / "train.svm"
+        test_path = tmp_path / "test.svm"
+        train_path.write_text("1 1:1\n1 1:1\n1 1:1\n2 2:1\n2 2:1\n2 2:1\n")
+        test_path.write_text("1 1:1\n2 2:1\n3 3:1\n")
+        out_path = tmp_path / "result.json"
+        argv = [
+            "multilabel",
+            "--train", str(train_path),
+            "--test", str(test_path),
+            "--method", "logistic",
+            "--out", str(out_path),
+            "--lambdas", "0.0001",
+            "--rule-params", "0.7",
+        ]
+        assert run_cli(argv, capsys)[0] == 0
+        cell = json.loads(out_path.read_text())["per_cell_results"][0]
+        assert cell["n_train"] == 6 and cell["n_test"] == 3
+        assert cell["macro_f1"] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert cell["micro_f1"] == pytest.approx(0.8, abs=1e-15)

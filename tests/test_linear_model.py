@@ -16,14 +16,10 @@ from sparsemax import (
     cross_validate,
     decide_rows,
     fit,
-    load_model,
     logistic_loss_multi,
     loss_rows,
-    model_from_dict,
-    model_to_dict,
     predict_labels,
     predict_scores,
-    save_model,
     shifted_threshold,
     softmax,
     softmax_rows,
@@ -455,30 +451,3 @@ class TestCrossValidate:
             cross_validate(data, [(0.1, None), (0.2, None)], 1, lambda *a: 0.0)
         with pytest.raises(ValueError):
             cross_validate(data, [(0.1, None), (0.2, None)], 5, lambda *a: 0.0)
-
-
-class TestSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(12)
-        model = LinearModel(
-            W=rng.normal(size=(3, 4)), b=rng.normal(size=3), loss_kind=LOSS_SPARSEMAX
-        )
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert np.array_equal(back.W, model.W)
-        assert np.array_equal(back.b, model.b)
-        assert back.loss_kind == model.loss_kind
-
-    def test_dict_layout_is_row_major(self):
-        model = LinearModel(
-            W=np.array([[1.0, 2.0], [3.0, 4.0]]), b=np.array([5.0, 6.0]), loss_kind=LOSS_LOGISTIC
-        )
-        payload = model_to_dict(model)
-        assert payload["K"] == 2 and payload["D"] == 2
-        assert payload["W"] == [1.0, 2.0, 3.0, 4.0]
-        assert payload["b"] == [5.0, 6.0]
-
-    def test_bad_payload_rejected(self):
-        with pytest.raises(ValueError):
-            model_from_dict({"K": 1, "D": 1, "loss_kind": "hinge", "W": [0.0], "b": [0.0]})

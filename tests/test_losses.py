@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 
 from sparsemax import (
     delta_distribution,
-    huber_binary_reference,
     logistic_loss,
     logistic_loss_multi,
     softmax,
@@ -13,7 +12,7 @@ from sparsemax import (
     sparsemax_loss,
     sparsemax_loss_multi,
 )
-from helpers import fd_gradient, support_margin
+from helpers import fd_gradient, huber_binary_reference, support_margin
 from sparsemax.simplex import threshold_and_support
 
 margins = st.floats(min_value=-8, max_value=8, allow_nan=False)

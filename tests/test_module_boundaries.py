@@ -1,11 +1,17 @@
-"""No module of the package imports a private (underscore) name from a sibling."""
+"""Boundaries of the package: what its modules import from each other, and
+what the benchmark's tracer needs of its public API."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sparsemax
 
 PACKAGE_DIR = Path(sparsemax.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def private_imports(path: Path) -> list[str]:
@@ -34,3 +40,30 @@ def test_the_check_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .simplex import _shifted_threshold, softmax\nfrom sparsemax.metrics import _check_pair\n")
     assert len(private_imports(bad)) == 2
+
+
+# Installs the benchmark's tracer on a fresh import of the package and
+# prints the names of the per-layer metrics it reports.
+METRIC_NAMES_SCRIPT = """
+import json
+import sparsemax
+import sparsemax.cli
+from tracing import Tracer, per_layer_metrics
+tracer = Tracer()
+tracer.install(sparsemax)
+print(json.dumps(sorted(per_layer_metrics(tracer, 1, {}, 0.0))))
+"""
+
+
+def test_benchmark_per_layer_metrics_find_their_functions():
+    # The tracer reads each metric off a public function by name, so deleting
+    # or renaming one the benchmark reports raises KeyError here.  It runs in
+    # a subprocess because installing the tracer rebinds the package's names.
+    path = os.pathsep.join([str(REPO / "perfbench"), str(PACKAGE_DIR.parent)])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", METRIC_NAMES_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    declared = [metric["name"] for metric in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]]
+    assert json.loads(done.stdout) == sorted(declared)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sparsemax import (
-    BRUTE_FORCE_MAX_DIM,
-    brute_force_projection,
-    softmax,
-    sparsemax,
-    threshold_and_support,
-)
+from helpers import BRUTE_FORCE_MAX_DIM, brute_force_projection
+from sparsemax import check_distribution, softmax, sparsemax, threshold_and_support
 
 # Magnitudes are capped so that the unit-sum resolution of float64 is not
 # exceeded; near 1e16 the spacing between adjacent doubles passes 1.
@@ -52,6 +47,23 @@ class TestSoftmax:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             softmax(np.zeros((2, 2)))
+
+
+class TestCheckDistribution:
+    def test_accepts_a_simplex_point(self):
+        assert np.array_equal(check_distribution([0.25, 0.75]), [0.25, 0.75])
+        assert np.array_equal(check_distribution([1.0, 0.0, 0.0], 3), [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "bad", [[], [[0.5, 0.5]], [np.nan, 1.0], [1.5, -0.5], [0.5, 0.25], [0.5, 0.5 + 2e-9]]
+    )
+    def test_rejects_points_off_the_simplex(self, bad):
+        with pytest.raises(ValueError):
+            check_distribution(bad)
+
+    def test_rejects_a_length_other_than_dim(self):
+        with pytest.raises(ValueError):
+            check_distribution([0.5, 0.5], 3)
 
 
 class TestThresholdAndSupport:
@@ -123,8 +135,21 @@ class TestSparsemax:
 
     @given(score_vectors, st.floats(min_value=-10, max_value=10, allow_nan=False))
     @example(z=np.array([8195.0, 8194.5, 8194.5]), c=-1.7659683695469859)
+    @example(
+        z=np.array([10000.3, 10000.5, 10000.1, 9999.7, 10000.4, 9999.7, 10000.2, 10000.5, 10000.5, 9999.9, 9999.9]),
+        c=2.8516578455773924,
+    )
     def test_shift_invariance(self, z, c):
-        assert np.max(np.abs(sparsemax(z + c) - sparsemax(z))) <= 1e-12
+        # The input z + c is itself rounded: it equals z + c + delta, with
+        # delta exact by TwoSum.  Sparsemax ignores the uniform part of the
+        # shift and is 1-Lipschitz in l2, so in exact arithmetic the outputs
+        # differ by at most ||delta - mean(delta)||_2.  The 1e-12 is left for
+        # the program's own rounding.
+        shifted = z + c
+        back = shifted - z
+        delta = -((z - (shifted - back)) + (c - back))
+        bound = 1e-12 + np.linalg.norm(delta - delta.mean())
+        assert np.max(np.abs(sparsemax(shifted) - sparsemax(z))) <= bound
 
     @given(score_vectors, st.integers(min_value=0, max_value=2**32 - 1))
     def test_permutation_equivariance(self, z, seed):

@@ -109,9 +109,6 @@ class LabeledDataset:
     def n_labels(self) -> int:
         return self.Q.shape[1]
 
-    def label_sets(self) -> list[set[int]]:
-        return [set(np.nonzero(row > 0.0)[0].tolist()) for row in self.Q]
-
     def subset(self, indices) -> "LabeledDataset":
         indices = np.asarray(indices)
         return LabeledDataset(X=self.X[indices], Q=self.Q[indices])
@@ -190,14 +187,13 @@ def _parse_line(line: str, lineno: int, path: str):
     return labels, features
 
 
-def read_libsvm_multilabel(path, n_labels: int | None = None, n_features: int | None = None) -> LabeledDataset:
+def read_libsvm_multilabel(path) -> LabeledDataset:
     """Read a multi-label LIBSVM file into dense arrays.
 
     Targets are uniform over each line's labels (the format stores label
     sets, not proportions).  Lines without labels are dropped and their
-    count logged as a warning.  Pass n_labels / n_features explicitly when
-    a split might not mention the highest label or feature index, so train
-    and test stay dimension-compatible.
+    count logged as a warning.  The dimensions are the highest label and
+    feature index the file mentions.
     """
     rows = []
     n_dropped = 0
@@ -220,16 +216,8 @@ def read_libsvm_multilabel(path, n_labels: int | None = None, n_features: int | 
         logger.warning("dropped %d line(s) without labels from %s", n_dropped, path)
     if not rows:
         raise ValueError(f"{path}: no labeled examples")
-    if n_labels is None:
-        n_labels = max_label + 1
-    elif max_label >= n_labels:
-        raise ValueError(f"{path}: label {max_label + 1} exceeds n_labels={n_labels}")
-    if n_features is None:
-        n_features = max_feature + 1
-    elif max_feature >= n_features:
-        raise ValueError(f"{path}: feature {max_feature + 1} exceeds n_features={n_features}")
-    X = np.zeros((len(rows), n_features))
-    Q = np.zeros((len(rows), n_labels))
+    X = np.zeros((len(rows), max_feature + 1))
+    Q = np.zeros((len(rows), max_label + 1))
     for i, (labels, features) in enumerate(rows):
         Q[i, labels] = 1.0 / len(labels)
         for idx, val in features:

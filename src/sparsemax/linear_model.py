@@ -116,12 +116,10 @@ class DecisionRule:
             raise ValueError(f"unknown decision rule {self.kind!r}")
 
 
-def _objective(W, b, X, Q, lam, loss_kind, want_grad=True):
+def _objective(W, b, X, Q, lam, loss_kind):
     scores = X @ W.T + b
     values, grads = loss_rows(scores, Q, loss_kind)
     value = 0.5 * lam * float(np.sum(W * W)) + float(values.mean())
-    if not want_grad:
-        return value, None, None
     n = X.shape[0]
     grad_W = lam * W + grads.T @ X / n
     grad_b = grads.mean(axis=0)
@@ -143,6 +141,10 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     deterministic; pass init=(W0, b0) to start elsewhere (e.g. for
     convexity checks with random restarts).  If a `history` list is given,
     the objective value after every accepted epoch is appended to it.
+
+    Cost: one objective-and-gradient evaluation at the start and one per
+    trial step; an accepted trial's value and gradient are kept, not
+    recomputed.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -163,20 +165,17 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     step = cfg.learning_rate
     for _ in range(cfg.max_epochs):
         trial = step
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             W_new = W - trial * grad_W
             b_new = b - trial * grad_b
-            value_new, _, _ = _objective(W_new, b_new, X, Q, cfg.lam, loss_kind, want_grad=False)
+            value_new, grad_W_new, grad_b_new = _objective(W_new, b_new, X, Q, cfg.lam, loss_kind)
             if np.isfinite(value_new) and value_new < value:
-                accepted = True
                 break
             trial *= 0.5
-        if not accepted:
+        else:
             break
         rel_change = abs(value - value_new) / max(1.0, abs(value))
-        W, b = W_new, b_new
-        value, grad_W, grad_b = _objective(W, b, X, Q, cfg.lam, loss_kind)
+        W, b, value, grad_W, grad_b = W_new, b_new, value_new, grad_W_new, grad_b_new
         if history is not None:
             history.append(value)
         step = min(cfg.learning_rate, 2.0 * trial)

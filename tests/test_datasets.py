@@ -147,26 +147,34 @@ class TestLabeledDataset:
             X=np.arange(6.0).reshape(3, 2),
             Q=np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),
         )
-        assert ds.label_sets() == [{0}, {0, 1}, {1}]
+        assert [set(np.flatnonzero(row > 0)) for row in ds.Q] == [{0}, {0, 1}, {1}]
         sub = ds.subset([2, 0])
-        assert sub.label_sets() == [{1}, {0}]
+        assert [set(np.flatnonzero(row > 0)) for row in sub.Q] == [{1}, {0}]
         assert np.array_equal(sub.X, ds.X[[2, 0]])
+
+
+def assert_equal_up_to_zero_columns(read, expected):
+    """The reader sizes a split by the indices its file mentions, so it
+    drops trailing all-zero columns of the expected array and nothing else."""
+    width = read.shape[1]
+    assert np.array_equal(read, expected[:, :width])
+    assert not np.any(expected[:, width:])
 
 
 class TestLibsvmIO:
     def test_parse_documented_line(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("1,3 2:1.5\n")
-        ds = read_libsvm_multilabel(path, n_labels=3, n_features=3)
+        ds = read_libsvm_multilabel(path)
         assert np.array_equal(ds.Q, [[0.5, 0.0, 0.5]])
-        assert np.array_equal(ds.X, [[0.0, 1.5, 0.0]])
+        assert_equal_up_to_zero_columns(ds.X, np.array([[0.0, 1.5, 0.0]]))
 
     def test_single_label_multiple_features(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("2 1:1.0 3:-2.5\n1 2:4.0\n")
         ds = read_libsvm_multilabel(path)
         assert ds.n_labels == 2 and ds.n_features == 3
-        assert ds.label_sets() == [{1}, {0}]
+        assert [set(np.flatnonzero(row > 0)) for row in ds.Q] == [{1}, {0}]
         assert np.array_equal(ds.X, [[1.0, 0.0, -2.5], [0.0, 4.0, 0.0]])
 
     def test_unlabeled_lines_dropped_with_warning(self, tmp_path, caplog):
@@ -200,14 +208,6 @@ class TestLibsvmIO:
         with pytest.raises(ValueError, match="no labeled examples"):
             read_libsvm_multilabel(path)
 
-    def test_explicit_dims_too_small(self, tmp_path):
-        path = tmp_path / "toy.svm"
-        path.write_text("3 5:1.0\n")
-        with pytest.raises(ValueError):
-            read_libsvm_multilabel(path, n_labels=2)
-        with pytest.raises(ValueError):
-            read_libsvm_multilabel(path, n_features=4)
-
     def test_round_trip(self, tmp_path):
         cfg = SyntheticConfig(
             n_labels=5, n_train=30, n_test=1, mean_doc_length=25.0, mixture="uniform", seed=21
@@ -215,9 +215,9 @@ class TestLibsvmIO:
         train, _ = generate_synthetic(cfg)
         path = tmp_path / "round.svm"
         write_libsvm_multilabel(train, path)
-        back = read_libsvm_multilabel(path, n_labels=5, n_features=5)
-        assert np.array_equal(back.X, train.X)
-        assert np.array_equal(back.Q, train.Q)
+        back = read_libsvm_multilabel(path)
+        assert_equal_up_to_zero_columns(back.X, train.X)
+        assert_equal_up_to_zero_columns(back.Q, train.Q)
 
     def test_round_trip_fractional_values(self, tmp_path):
         ds = LabeledDataset(
@@ -226,8 +226,9 @@ class TestLibsvmIO:
         )
         path = tmp_path / "frac.svm"
         write_libsvm_multilabel(ds, path)
-        back = read_libsvm_multilabel(path, n_labels=2, n_features=3)
-        assert np.array_equal(back.X, ds.X)
+        back = read_libsvm_multilabel(path)
+        assert_equal_up_to_zero_columns(back.X, ds.X)
+        assert_equal_up_to_zero_columns(back.Q, ds.Q)
 
 
 class TestStandardize:

@@ -12,6 +12,10 @@ score rows, or on one (K,) row.  They trust their input; the 1-D public
 functions validate a score vector and call them.  The threshold search
 has two kernels, one per shape, because on a single row the row kernel's
 set-up costs more than its sort: 32 against 21 us at K = 10 (README.md).
+Both search only the candidates, the scores within 1 of the maximum.  The
+1-D kernel also sorts only those when they are fewer than half of more
+than 256 scores: at K = 10^5 with 1-3 scores in the support, ``sparsemax``
+went from 401 to 1,913 rows/s (README.md).
 ``check_scores`` and ``check_distribution`` validate the 1-D inputs of
 this module, ``losses`` and ``jacobians``.
 """
@@ -94,11 +98,20 @@ def softmax(z) -> np.ndarray:
     return softmax_rows(check_scores(z))
 
 
+# Rows of more scores than this sort only their candidates when fewer than
+# half qualify.  Below it the copy of the candidates costs about what it
+# saves in the sort.  On a sparse row the filtered and the full sort tied
+# at K = 256 (17.8 us each), the filter lost at K = 128 (15.1 against
+# 13.1 us) and won at K = 1024 (16.6 against 17.8 us); best of 9 x 3,000
+# calls, 2 shared cores, Python 3.11.7, numpy 2.4.6.
+_FILTER_MIN_SIZE = 256
+
+
 def _shifted_threshold(z: np.ndarray):
     """Max-shifted scores z - max(z) and the threshold of their projection.
 
-    Sorts the shifted scores in descending order, takes the largest k
-    satisfying
+    Sorts the candidates, the shifted scores above -1, in descending
+    order, takes the largest k satisfying
 
         1 + k * z_(k) > z_(1) + ... + z_(k)
 
@@ -109,15 +122,40 @@ def _shifted_threshold(z: np.ndarray):
     singleton support gives tau = -1 and a projection of exactly 1.  In
     exact arithmetic tau lies in [z_(k+1), z_(k)); rounding can land it a
     hair outside, so it is clamped back into that interval.
+
+    Only candidates can be in the support: the largest projected value
+    is -tau <= 1, so tau >= -1.  In exact arithmetic the test above
+    already forces z_(k) > -1, since z_(1) = 0 and the other k - 1 terms
+    are at least z_(k).  In floating point it does not: on
+    [0, -w, ..., -w] with w = 1 + 5 * 2**-52 and 16 scores, the rounded
+    sums of a full search pass the test at k = 16 and give a projection
+    whose largest value exceeds 1.  The search therefore runs over the
+    candidates only.  Every candidate is > -1 and the first is 0, so each
+    rounded partial sum is >= -(j - 1): rounding is monotone and the
+    integers are representable.  Hence the computed tau >= -1 >= every
+    other score, and when k takes all the candidates the clamp needs no
+    lower bound from the scores left out.
+
+    This is the filter step of Condat (2016).  The candidates are found
+    with one pass over the row.  A row of more than _FILTER_MIN_SIZE
+    scores of which fewer than half are candidates sorts the candidates
+    alone.  Any other row sorts all its scores and keeps the candidates
+    at its head: on a short row the copy costs what it saves, and on a
+    dense row, whose support can hold every score, it saves little.
     """
     shifted = z - z.max()
-    z_sorted = -np.sort(-shifted)
+    candidates = shifted > -1.0
+    m = np.count_nonzero(candidates)
+    if z.size > _FILTER_MIN_SIZE and 2 * m < z.size:
+        z_sorted = -np.sort(-shifted[candidates])
+    else:
+        z_sorted = -np.sort(-shifted)[:m]
     cssv = np.cumsum(z_sorted)
-    ks = np.arange(1, z.size + 1)
+    ks = np.arange(1, m + 1)
     feasible = np.nonzero(1.0 + ks * z_sorted > cssv)[0]
     k = int(feasible[-1]) + 1
     tau = (cssv[k - 1] - 1.0) / k
-    below = z_sorted[k] if k < z.size else -np.inf
+    below = z_sorted[k] if k < m else -np.inf
     tau = float(min(max(tau, below), np.nextafter(z_sorted[k - 1], -np.inf)))
     return shifted, tau
 
@@ -125,14 +163,16 @@ def _shifted_threshold(z: np.ndarray):
 def _shifted_threshold_rows(scores: np.ndarray):
     """Row by row the computation of :func:`_shifted_threshold`, clamp included.
 
-    tau comes back as an (N, 1) column, so it broadcasts against the rows.
+    Every row sorts all its scores; the test is masked to the candidates,
+    the sorted scores above -1.  tau comes back as an (N, 1) column, so it
+    broadcasts against the rows.
     """
     shifted = scores - scores.max(axis=1, keepdims=True)
     z_sorted = -np.sort(-shifted, axis=1)
     cssv = np.cumsum(z_sorted, axis=1)
     n_rows, n_cols = scores.shape
     ks = np.arange(1, n_cols + 1)
-    feasible = 1.0 + ks * z_sorted > cssv
+    feasible = (1.0 + ks * z_sorted > cssv) & (z_sorted > -1.0)
     k = n_cols - np.argmax(feasible[:, ::-1], axis=1)
     rows = np.arange(n_rows)
     tau = (cssv[rows, k - 1] - 1.0) / k
@@ -145,9 +185,9 @@ def shifted_threshold(scores: np.ndarray):
     """Max-shifted scores and the threshold tau of their projection.
 
     One row (K,) gives tau as a float, from the 1-D kernel; rows (N, K)
-    give tau as an (N, 1) column, from the row kernel.  Both kernels make
-    the same computation, so a row gets the same tau bit for bit either
-    way, and its support is exactly shifted > tau.
+    give tau as an (N, 1) column, from the row kernel.  Both kernels search
+    the same candidates with the same sums, so a row gets the same tau bit
+    for bit either way, and its support is exactly shifted > tau.
     """
     if scores.ndim == 1:
         return _shifted_threshold(scores)

@@ -3,6 +3,7 @@ import pytest
 
 from sparsemax import (
     OpCounter,
+    SupportSet,
     softmax,
     softmax_jacobian,
     softmax_jvp,
@@ -87,6 +88,25 @@ class TestSparsemaxJacobian:
         support = threshold_and_support([1.2, 1.0, -3.0])
         with pytest.raises(ValueError):
             sparsemax_jacobian(support, 1)
+
+    @pytest.mark.parametrize(
+        "indices, k",
+        (
+            ([0, 0, 1], 3),  # a repeated index would count twice in the support mean
+            ([1, 0], 2),
+            ([0, 1], 3),
+            ([0, 1], 1),
+            ([0.0, 1.0], 2),
+            ([[0, 1]], 2),
+        ),
+        ids=("repeated", "descending", "k-above-size", "k-below-size", "float", "two-dim"),
+    )
+    def test_rejects_malformed_support(self, indices, k):
+        support = SupportSet(indices=np.array(indices), tau=0.0, k=k)
+        with pytest.raises(ValueError):
+            sparsemax_jvp(support, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            sparsemax_jacobian(support, 3)
 
 
 class TestJvps:

@@ -44,6 +44,39 @@ EDGE_ROWS = np.array(
 )
 
 
+def wide_threshold_rows(rng, width):
+    """Score rows of the given width whose candidates, the scores within 1
+    of the maximum, are few, many, tied at the boundary or all in the support."""
+    rows = []
+    for s in (1, 2, 3):
+        row = rng.uniform(-3.0, 0.0, width)
+        row[rng.choice(width, s, replace=False)] = 1.0 + rng.uniform(0.0, 0.5 / s, s)
+        rows.append(row)
+    tied = rng.uniform(-3.0, -1.0, width)
+    tied[:4] = [2.5, 1.5, 1.5, 2.1]
+    rows.append(tied)
+    third = rng.uniform(-3.0, 0.0, width)
+    third[rng.random(width) < 1 / 3] = -1.0
+    third[0] = 0.0
+    rows.append(third)
+    few = rng.uniform(-3.0, -1.0, width)
+    few[:5] = rng.uniform(-0.05, 0.0, 5)
+    rows.append(few)
+    rows.append(rng.uniform(0.0, 1.0 / width, width))
+    for m in ((width - 1) // 2, (width + 1) // 2):
+        half = rng.uniform(-3.0, -1.0, width)
+        half[:m] = rng.uniform(-0.9, 0.0, m)
+        rows.append(half)
+    rows.append(rng.normal(size=width))
+    rows += [8192.0 + row for row in rows[:6]]
+    # Rounded sums of a search over every score pass the test at a score
+    # below -1 here, and would put all of them in the support.
+    below = np.full(width, -(1.0 + 3 * 2.0**-46))
+    below[0] = 0.0
+    rows.append(below)
+    return np.array(rows)
+
+
 def random_problem(rng, n=5, d=3, k=4):
     X = rng.normal(size=(n, d))
     Q = rng.dirichlet(np.ones(k), size=n)
@@ -98,17 +131,23 @@ class TestBatchedOps:
     def test_row_threshold_matches_scalar(self):
         # The row and 1-D threshold kernels are separate code, so they must
         # give the same tau bit for bit and the support of threshold_and_support.
+        # Past 256 scores the 1-D kernel sorts only the scores within 1 of the
+        # maximum when fewer than half are, so the wide rows take both paths.
         rng = np.random.default_rng(4)
-        scores = np.vstack([rng.normal(scale=3.0, size=(64, 6)), EDGE_ROWS])
-        shifted, tau = shifted_threshold(scores)
-        assert tau.shape == (scores.shape[0], 1)
-        for i, row in enumerate(scores):
-            row_shifted, row_tau = shifted_threshold(row)
-            s = threshold_and_support(row)
-            assert np.array_equal(shifted[i], row_shifted)
-            assert tau[i, 0] == row_tau
-            assert np.array_equal(np.flatnonzero(shifted[i] > tau[i]), s.indices)
-            assert s.k == s.indices.size
+        for width in (6, 257, 1000, 20_000):
+            if width == 6:
+                scores = np.vstack([rng.normal(scale=3.0, size=(64, 6)), EDGE_ROWS])
+            else:
+                scores = wide_threshold_rows(rng, width)
+            shifted, tau = shifted_threshold(scores)
+            assert tau.shape == (scores.shape[0], 1)
+            for i, row in enumerate(scores):
+                row_shifted, row_tau = shifted_threshold(row)
+                s = threshold_and_support(row)
+                assert np.array_equal(shifted[i], row_shifted)
+                assert tau[i, 0] == row_tau
+                assert np.array_equal(np.flatnonzero(shifted[i] > tau[i]), s.indices)
+                assert s.k == s.indices.size
 
     def test_sparsemax_rows_match_scalar(self):
         rng = np.random.default_rng(5)

@@ -188,6 +188,52 @@ class TestSparsemax:
         assert p[0] == p[1] == 0.5
         assert p[2] == 0.0 and p[3] == 0.0
 
+    @pytest.mark.parametrize("dim, w", ((16, 1.0 + 5 * 2.0**-52), (300, 1.0 + 3 * 2.0**-46)))
+    def test_one_hot_when_the_rest_lie_just_below_minus_one(self, dim, w):
+        # The rounded partial sums of [0, -w, ..., -w] drift below the exact
+        # ones, so a threshold search over every score passes its test at
+        # k = dim and gives all dim scores a share; the projection is one-hot.
+        z = np.full(dim, -w)
+        z[0] = 0.0
+        expected = np.zeros(dim)
+        expected[0] = 1.0
+        assert np.array_equal(sparsemax(z), expected)
+        assert threshold_and_support(z).indices.tolist() == [0]
+
+
+class TestSortedScores:
+    """The 1-D threshold sorts only the scores within 1 of the maximum."""
+
+    def sorted_sizes(self, monkeypatch, z):
+        sizes = []
+        numpy_sort = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return numpy_sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        p = sparsemax(z)
+        s = threshold_and_support(z)
+        monkeypatch.undo()
+        assert np.array_equal(np.flatnonzero(p), s.indices)
+        return sizes, s.k
+
+    def test_sparse_row_sorts_its_candidates(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-3.0, 0.0, 100_000)
+        z[[10, 5_000, 99_999]] = [1.2, 1.1, 0.5]
+        sizes, k = self.sorted_sizes(monkeypatch, z)
+        assert k == 2
+        assert sizes == [3, 3]
+
+    def test_dense_row_sorts_every_score(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        z = rng.uniform(0.0, 1e-5, 100_000)
+        sizes, k = self.sorted_sizes(monkeypatch, z)
+        assert k == 100_000
+        assert sizes == [100_000, 100_000]
+
 
 class TestBruteForce:
     def test_matches_closed_forms(self):

@@ -233,9 +233,12 @@ def run_labelprop(config: dict, seed: int) -> dict:
             train, test = generate_synthetic(data_cfg)
             train, test, _, _ = standardize_features(train, test)
             for loss in losses:
+                # Each fold's last model, the warm start of its next (larger) lam.
+                warm = {}
 
-                def evaluate(fold_i, tr, va, lam, param, _loss=loss):
-                    model = fit(tr, replace(train_cfg, lam=lam), _loss)
+                def evaluate(fold_i, tr, va, lam, param, _loss=loss, _warm=warm):
+                    model = fit(tr, replace(train_cfg, lam=lam), _loss, init=_warm.get(fold_i))
+                    _warm[fold_i] = (model.W, model.b)
                     return -float(js_divergence_rows(va.Q, _proportions(model, va, _loss)).mean())
 
                 best_lam, _ = cross_validate(
@@ -312,11 +315,14 @@ def run_multilabel(
     grid = [(float(lam), float(p)) for lam in lambdas for p in rule_params]
     # Validation scores of each (fold, lam) model; every rule parameter reuses them.
     val_scores = {}
+    # Each fold's last model, the warm start of its next (larger) lam.
+    warm = {}
 
     def evaluate(fold_i, tr, va, lam, param):
         key = (fold_i, lam)
         if key not in val_scores:
-            model = fit(tr, replace(train_cfg, lam=lam), loss_kind)
+            model = fit(tr, replace(train_cfg, lam=lam), loss_kind, init=warm.get(fold_i))
+            warm[fold_i] = (model.W, model.b)
             val_scores[key] = predict_scores(model, va.X)
         on = decide_rows(val_scores[key], DecisionRule(kind=rule_kind, param=param))
         micro, _ = micro_macro_f1_rows(on, va.Q > 0.0)
@@ -406,9 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--folds", type=int, default=5)
     p_ml.add_argument("--lambdas", type=_floats_arg, default=None)
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)
-    p_ml.add_argument("--max-epochs", type=int, default=100)
-    p_ml.add_argument("--learning-rate", type=float, default=1.0)
-    p_ml.add_argument("--tol", type=float, default=1e-7)
+    p_ml.add_argument("--max-epochs", type=int, default=100, help="cap on L-BFGS iterations per fit")
+    p_ml.add_argument("--learning-rate", type=float, default=1.0, help="first trial step of each fit")
+    p_ml.add_argument("--tol", type=float, default=1e-7, help="a fit's tolerance on step change and gradient norm")
     p_ml.add_argument("--no-standardize", action="store_true")
     p_ml.set_defaults(func=cmd_multilabel)
     return parser

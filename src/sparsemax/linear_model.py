@@ -1,8 +1,8 @@
 """Regularized linear models for distribution targets.
 
 Trains W, b to minimize  lam/2 * ||W||_F^2 + mean_i L(W x_i + b; q_i)
-by full-batch gradient descent with a backtracking line search.  The bias
-is never regularized.  Three loss kinds are supported: the multinomial
+by full-batch L-BFGS with a backtracking line search.  The bias is never
+regularized.  Three loss kinds are supported: the multinomial
 logistic loss, its sparse analogue, and a bank of independent binary
 logistic losses (one per label, with targets q_i > 0).
 
@@ -20,6 +20,8 @@ the threshold in ``simplex``, and the sigmoid in ``losses``.
 
 from __future__ import annotations
 
+import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,10 @@ RULE_SOFTMAX_THRESHOLD = "softmax_threshold"
 RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 
 _MAX_HALVINGS = 30
+_MEMORY = 10
+_ARMIJO_C1 = 1e-4
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -74,10 +80,10 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lam: float = 0.0
-    max_epochs: int = 100
-    learning_rate: float = 1.0
-    convergence_tol: float = 1e-6
+    lam: float = 0.0  # weight of the penalty lam/2 * ||W||_F^2
+    max_epochs: int = 100  # cap on the L-BFGS iterations
+    learning_rate: float = 1.0  # the first iteration's trial step; later ones try 1
+    convergence_tol: float = 1e-6  # on a step's objective change and the gradient norm, times max(1, |J|)
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -126,21 +132,42 @@ def _objective(W, b, X, Q, lam, loss_kind):
     return value, grad_W, grad_b
 
 
-def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, history=None) -> LinearModel:
-    """Train a linear model by batch gradient descent with backtracking.
+def _two_loop(grad, pairs):
+    """The L-BFGS direction -H grad from the (s, y, 1 / s'y) pairs, oldest first
+    (Nocedal & Wright, Alg. 7.4); H starts as s'y / y'y of the newest pair times I."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
 
-    Every epoch takes the steepest-descent direction and tries a step of
-    the previous accepted size doubled (capped at cfg.learning_rate and
-    starting from it), halving up to 30 times until the objective strictly
-    decreases.  Training stops at cfg.max_epochs, when the relative
-    objective change falls below cfg.convergence_tol, or when no
-    decreasing step exists.  Accepted objective values therefore decrease
-    monotonically.
+
+def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, history=None) -> LinearModel:
+    """Train a linear model by L-BFGS with a backtracking line search.
+
+    Each iteration takes the two-loop L-BFGS direction over the last
+    _MEMORY steps (Liu & Nocedal 1989), or the steepest-descent direction
+    when that is not a descent direction.  It tries a step of
+    cfg.learning_rate in the first iteration and of 1 later, halved up to
+    _MAX_HALVINGS times until the objective strictly decreases and meets
+    the Armijo condition, so accepted objective values decrease
+    monotonically.  Training stops once an accepted step changed the
+    objective J by less than cfg.convergence_tol * max(1, |J|) and the
+    gradient norm is at most that; it stops unconverged, and logs a
+    warning, after cfg.max_epochs iterations or when no step decreases J.
 
     The default start is W = 0, b = 0, which makes the whole procedure
-    deterministic; pass init=(W0, b0) to start elsewhere (e.g. for
-    convexity checks with random restarts).  If a `history` list is given,
-    the objective value after every accepted epoch is appended to it.
+    deterministic; pass init=(W0, b0) to start elsewhere, e.g. from the
+    model of a neighbouring lam.  If a `history` list is given, the
+    objective value at the start and after every accepted iteration is
+    appended to it.
 
     Cost: one objective-and-gradient evaluation at the start and one per
     trial step; an accepted trial's value and gradient are kept, not
@@ -157,31 +184,61 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         if W.shape != (n_labels, n_features) or b.shape != (n_labels,):
             raise ValueError("init shapes do not match the data dimensions")
     X, Q = data.X, data.Q
-    value, grad_W, grad_b = _objective(W, b, X, Q, cfg.lam, loss_kind)
+    n_weights = W.size
+
+    def objective(theta):
+        value, grad_W, grad_b = _objective(
+            theta[:n_weights].reshape(n_labels, n_features), theta[n_weights:], X, Q, cfg.lam, loss_kind
+        )
+        return value, np.concatenate([grad_W.ravel(), grad_b])
+
+    theta = np.concatenate([W.ravel(), b])
+    value, grad = objective(theta)
     if not np.isfinite(value):
         raise FloatingPointError("objective is not finite at the starting point")
     if history is not None:
         history.append(value)
+    pairs = deque(maxlen=_MEMORY)
     step = cfg.learning_rate
-    for _ in range(cfg.max_epochs):
+    iterations = 0
+    unconverged = "reached max_epochs"
+    while iterations < cfg.max_epochs:
+        direction = _two_loop(grad, pairs)
+        slope = grad @ direction
+        if not slope < 0.0:
+            pairs.clear()
+            direction = -grad
+            slope = -(grad @ grad)
         trial = step
         for _ in range(_MAX_HALVINGS + 1):
-            W_new = W - trial * grad_W
-            b_new = b - trial * grad_b
-            value_new, grad_W_new, grad_b_new = _objective(W_new, b_new, X, Q, cfg.lam, loss_kind)
-            if np.isfinite(value_new) and value_new < value:
+            theta_new = theta + trial * direction
+            value_new, grad_new = objective(theta_new)
+            if np.isfinite(value_new) and value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
                 break
             trial *= 0.5
         else:
+            unconverged = "no trial step passes the line search"
             break
-        rel_change = abs(value - value_new) / max(1.0, abs(value))
-        W, b, value, grad_W, grad_b = W_new, b_new, value_new, grad_W_new, grad_b_new
+        s, y = theta_new - theta, grad_new - grad
+        sy = s @ y
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        change = abs(value - value_new) / max(1.0, abs(value))
+        theta, value, grad = theta_new, value_new, grad_new
+        iterations += 1
         if history is not None:
             history.append(value)
-        step = min(cfg.learning_rate, 2.0 * trial)
-        if rel_change < cfg.convergence_tol:
+        step = 1.0
+        if change < cfg.convergence_tol and np.linalg.norm(grad) <= cfg.convergence_tol * max(1.0, abs(value)):
+            unconverged = None
             break
-    return LinearModel(W=W, b=b, loss_kind=loss_kind)
+    if unconverged:
+        logger.warning(
+            "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s",
+            loss_kind, cfg.lam, iterations, unconverged,
+        )
+    W = theta[:n_weights].reshape(n_labels, n_features)
+    return LinearModel(W=W, b=theta[n_weights:], loss_kind=loss_kind)
 
 
 def predict_scores(model: LinearModel, X) -> np.ndarray:
@@ -216,8 +273,11 @@ def cross_validate(data: LabeledDataset, grid, folds: int, evaluate, seed: int =
     `grid` is a sequence of (lam, rule_param) pairs; rule_param may be
     None when only lam is swept.  `evaluate(fold_index, train_split,
     val_split, lam, rule_param)` must return a score where higher is
-    better.  Folds are a seeded permutation split into near-equal parts,
-    so the assignment is reproducible.  Exact score ties go to the
+    better.  Candidates are visited in ascending order of lam, then of
+    rule_param, each over all folds in order, so a callback may keep each
+    fold's last model as the warm start of its next lam.  Folds are a
+    seeded permutation split into near-equal parts, so the assignment is
+    reproducible.  Exact score ties go to the
     smaller lam, then the smaller rule parameter.  A single-candidate
     grid is returned immediately without training.
     """

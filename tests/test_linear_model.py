@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from helpers import fd_gradient
 from sparsemax import (
@@ -12,10 +15,12 @@ from sparsemax import (
     DecisionRule,
     LabeledDataset,
     LinearModel,
+    SyntheticConfig,
     TrainConfig,
     cross_validate,
     decide_rows,
     fit,
+    generate_synthetic,
     logistic_loss_multi,
     loss_rows,
     predict_labels,
@@ -26,6 +31,7 @@ from sparsemax import (
     sparsemax,
     sparsemax_loss_multi,
     sparsemax_rows,
+    standardize_features,
     threshold_and_support,
 )
 from sparsemax import linear_model
@@ -81,6 +87,30 @@ def random_problem(rng, n=5, d=3, k=4):
     X = rng.normal(size=(n, d))
     Q = rng.dirichlet(np.ones(k), size=n)
     return LabeledDataset(X=X, Q=Q)
+
+
+def document_problem():
+    """A small standardized bag-of-words problem: sparse targets, so that
+    every loss, the binary one included, has a finite optimum at small lam."""
+    cfg = SyntheticConfig(n_labels=4, n_train=80, n_test=10, mean_doc_length=300.0, seed=2)
+    train, _ = generate_synthetic(cfg)
+    return standardize_features(train, train)[0]
+
+
+def objective_at(model, data, lam):
+    return _objective(model.W, model.b, data.X, data.Q, lam, model.loss_kind)
+
+
+def scipy_optimum(data, lam, loss_kind):
+    """The objective's minimum by scipy's L-BFGS-B, run to its rounding floor."""
+    K, D = data.n_labels, data.n_features
+
+    def fun(theta):
+        value, grad_W, grad_b = _objective(theta[: K * D].reshape(K, D), theta[K * D :], data.X, data.Q, lam, loss_kind)
+        return value, np.concatenate([grad_W.ravel(), grad_b])
+
+    options = {"maxiter": 100_000, "maxfun": 200_000, "maxcor": 30, "ftol": 0.0, "gtol": 1e-12}
+    return minimize(fun, np.zeros(K * D + K), jac=True, method="L-BFGS-B", options=options).fun
 
 
 def separable_line():
@@ -269,9 +299,11 @@ class TestFit:
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
 
     def test_one_evaluation_per_trial_step(self, monkeypatch):
-        # A step this small always decreases this objective, so every epoch
-        # accepts its first trial; the accepted trial's value and gradient
-        # are reused, making one evaluation per history entry.
+        # On this problem the small first step and every unit L-BFGS step
+        # of the first 8 iterations decrease the objective enough, so each
+        # iteration accepts its first trial and none converges yet; the
+        # accepted trial's value and gradient are reused, making one
+        # evaluation per history entry.
         calls = []
         real_loss_rows = linear_model.loss_rows
 
@@ -281,11 +313,59 @@ class TestFit:
 
         monkeypatch.setattr(linear_model, "loss_rows", counting_loss_rows)
         data = random_problem(np.random.default_rng(4), n=20, d=3, k=3)
-        cfg = TrainConfig(lam=0.1, max_epochs=25, learning_rate=0.05, convergence_tol=1e-15)
+        cfg = TrainConfig(lam=0.1, max_epochs=8, learning_rate=0.05, convergence_tol=1e-12)
         history = []
         fit(data, cfg, LOSS_LOGISTIC, history=history)
         assert len(history) == cfg.max_epochs + 1
         assert len(calls) == len(history)
+
+    @pytest.mark.parametrize("lam", (1e-6, 1e-3, 1e-1))
+    @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
+    def test_converges_to_the_optimum(self, loss_kind, lam):
+        data = document_problem()
+        # The binary loss at lam = 1e-6 takes about 570 iterations here.
+        cfg = TrainConfig(lam=lam, max_epochs=1000, convergence_tol=1e-7)
+        history = []
+        model = fit(data, cfg, loss_kind, history=history)
+        value, grad_W, grad_b = objective_at(model, data, lam)
+        assert len(history) - 1 < cfg.max_epochs
+        assert history[-1] == value
+        # Both halves of the stopping rule hold where it stopped.
+        before, after = history[-2:]
+        assert abs(before - after) < cfg.convergence_tol * max(1.0, abs(before))
+        grad_norm = np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2))
+        assert grad_norm <= cfg.convergence_tol * max(1.0, abs(value))
+        optimum = scipy_optimum(data, lam, loss_kind)
+        assert abs(value - optimum) <= 1e-6 * abs(optimum)
+
+    @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
+    def test_warm_start_reaches_the_optimum_sooner(self, loss_kind):
+        # Small lam, where fits are long: a warm start saves 40-70% of the
+        # iterations here (at lam = 1e-1 it saves little or nothing).
+        data = document_problem()
+        neighbour = fit(data, TrainConfig(lam=1e-6, max_epochs=1000), loss_kind)
+        cfg = TrainConfig(lam=1e-5, max_epochs=1000)
+        cold_history, warm_history = [], []
+        cold = fit(data, cfg, loss_kind, history=cold_history)
+        warm = fit(data, cfg, loss_kind, init=(neighbour.W, neighbour.b), history=warm_history)
+        cold_value = objective_at(cold, data, cfg.lam)[0]
+        warm_value = objective_at(warm, data, cfg.lam)[0]
+        assert abs(warm_value - cold_value) <= 1e-6 * abs(cold_value)
+        assert len(warm_history) < len(cold_history)
+
+    def test_warns_when_stopped_unconverged(self, caplog):
+        data = document_problem()
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            fit(data, TrainConfig(lam=1e-3, max_epochs=2), LOSS_SPARSEMAX)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        for part in ("sparsemax loss", "lam 0.001", "after 2 iterations", "max_epochs"):
+            assert part in message
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="sparsemax.linear_model"):
+            fit(data, TrainConfig(lam=1e-3, max_epochs=500), LOSS_SPARSEMAX)
+        assert caplog.records == []
 
     def test_regularization_shrinks_weights(self):
         data = separable_line()

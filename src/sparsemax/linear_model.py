@@ -237,8 +237,10 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
             "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s",
             loss_kind, cfg.lam, iterations, unconverged,
         )
-    W = theta[:n_weights].reshape(n_labels, n_features)
-    return LinearModel(W=W, b=theta[n_weights:], loss_kind=loss_kind)
+    # Copies made after the search: views would pin a block allocated in
+    # the middle of it, and a sweep of many fits then fragments the heap.
+    W = theta[:n_weights].reshape(n_labels, n_features).copy()
+    return LinearModel(W=W, b=theta[n_weights:].copy(), loss_kind=loss_kind)
 
 
 def predict_scores(model: LinearModel, X) -> np.ndarray:

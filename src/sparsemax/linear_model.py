@@ -21,6 +21,7 @@ the threshold in ``simplex``, and the sigmoid in ``losses``.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -122,31 +123,42 @@ class DecisionRule:
             raise ValueError(f"unknown decision rule {self.kind!r}")
 
 
-def _objective(W, b, X, Q, lam, loss_kind):
-    scores = X @ W.T + b
-    values, grads = loss_rows(scores, Q, loss_kind)
-    value = 0.5 * lam * float(np.sum(W * W)) + float(values.mean())
-    n = X.shape[0]
-    grad_W = lam * W + grads.T @ X / n
-    grad_b = grads.mean(axis=0)
-    return value, grad_W, grad_b
+def _objective(theta, X, Q, lam, loss_kind):
+    """J and its gradient at fit's flat parameters theta = [W.ravel(), b].
+
+    The scores are formed label-major, (K, N), and loss_rows gets their
+    (N, K) transposed view, so its reductions over the labels run over K
+    contiguous rows of N, not N rows of K.  fit lays Q out alike, once.
+    At 240 rows, 10 labels and 10 features a call takes about 64 us
+    (logistic) and 134 us (sparsemax), down from 142 and 179 (README.md).
+    """
+    n, n_labels = Q.shape
+    n_weights = theta.size - n_labels
+    W, b = theta[:n_weights].reshape(n_labels, -1), theta[n_weights:]
+    values, grads = loss_rows((W @ X.T + b[:, None]).T, Q, loss_kind)
+    value = 0.5 * lam * float((W * W).sum()) + float(values.sum() / n)
+    grad = np.empty(theta.size)
+    np.add(lam * W, grads.T @ X / n, out=grad[:n_weights].reshape(W.shape))
+    np.divide(grads.sum(axis=0), n, out=grad[n_weights:])
+    return value, grad
 
 
 def _two_loop(grad, pairs):
     """The L-BFGS direction -H grad from the (s, y, 1 / s'y) pairs, oldest first
-    (Nocedal & Wright, Alg. 7.4); H starts as s'y / y'y of the newest pair times I."""
-    q = grad.copy()
+    (Nocedal & Wright, Alg. 7.4); H starts as s'y / y'y of the newest pair times I.
+    Run on -grad, which negates each step exactly; .dot is @ with less overhead."""
+    q = -grad
     alphas = []
     for s, y, rho in reversed(pairs):
-        alpha = rho * (s @ q)
+        alpha = rho * s.dot(q)
         q -= alpha * y
         alphas.append(alpha)
     if pairs:
         s, y, rho = pairs[-1]
-        q *= 1.0 / (rho * (y @ y))
+        q *= 1.0 / (rho * y.dot(y))
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
-    return -q
+        q += (alpha - rho * y.dot(q)) * s
+    return q
 
 
 def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, history=None) -> LinearModel:
@@ -169,9 +181,9 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     objective value at the start and after every accepted iteration is
     appended to it.
 
-    Cost: one objective-and-gradient evaluation at the start and one per
-    trial step; an accepted trial's value and gradient are kept, not
-    recomputed.
+    Cost: one objective-and-gradient evaluation (_objective, label-major)
+    at the start and one per trial step; an accepted trial's value and
+    gradient are kept, not recomputed.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -183,17 +195,11 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         W, b = (np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64))
         if W.shape != (n_labels, n_features) or b.shape != (n_labels,):
             raise ValueError("init shapes do not match the data dimensions")
-    X, Q = data.X, data.Q
+    X, Q = data.X, np.ascontiguousarray(data.Q.T).T
     n_weights = W.size
 
-    def objective(theta):
-        value, grad_W, grad_b = _objective(
-            theta[:n_weights].reshape(n_labels, n_features), theta[n_weights:], X, Q, cfg.lam, loss_kind
-        )
-        return value, np.concatenate([grad_W.ravel(), grad_b])
-
     theta = np.concatenate([W.ravel(), b])
-    value, grad = objective(theta)
+    value, grad = _objective(theta, X, Q, cfg.lam, loss_kind)
     if not np.isfinite(value):
         raise FloatingPointError("objective is not finite at the starting point")
     if history is not None:
@@ -204,15 +210,15 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     unconverged = "reached max_epochs"
     while iterations < cfg.max_epochs:
         direction = _two_loop(grad, pairs)
-        slope = grad @ direction
+        slope = grad.dot(direction)
         if not slope < 0.0:
             pairs.clear()
             direction = -grad
-            slope = -(grad @ grad)
+            slope = -grad.dot(grad)
         trial = step
         for _ in range(_MAX_HALVINGS + 1):
             theta_new = theta + trial * direction
-            value_new, grad_new = objective(theta_new)
+            value_new, grad_new = _objective(theta_new, X, Q, cfg.lam, loss_kind)
             if np.isfinite(value_new) and value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
                 break
             trial *= 0.5
@@ -220,7 +226,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
             unconverged = "no trial step passes the line search"
             break
         s, y = theta_new - theta, grad_new - grad
-        sy = s @ y
+        sy = s.dot(y)
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
         change = abs(value - value_new) / max(1.0, abs(value))
@@ -229,7 +235,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         if history is not None:
             history.append(value)
         step = 1.0
-        if change < cfg.convergence_tol and np.linalg.norm(grad) <= cfg.convergence_tol * max(1.0, abs(value)):
+        if change < cfg.convergence_tol and math.sqrt(grad.dot(grad)) <= cfg.convergence_tol * max(1.0, abs(value)):
             unconverged = None
             break
     if unconverged:

@@ -7,10 +7,13 @@ q on the simplex and reduce exactly to the single-label forms when q is a
 one-hot vector.
 
 Every loss formula lives once, in :func:`loss_rows`, which evaluates a
-whole batch of score rows against their targets; the training objective
-of ``linear_model`` calls it directly.  The 1-D functions validate one
-score vector and target with ``simplex`` and call it on that row.
-Softmax, the sparsemax threshold and the projection come from ``simplex``.
+whole batch of score rows against their targets in either memory layout.
+The training objective of ``linear_model`` calls it directly, on the
+transposed view of label-major scores and targets: at 240 rows and 10
+labels a call takes about 48 us for the logistic loss and 115 us for the
+sparse one (README.md).  The 1-D functions validate one score vector
+and target with ``simplex`` and call it on that row.  Softmax, the
+sparsemax threshold and the projection come from ``simplex``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplex import check_distribution, check_scores, project_shifted, shifted_threshold, softmax_rows
+from .simplex import check_distribution, check_scores, project_shifted, shifted_threshold, softmax_logsumexp_rows
 
 __all__ = [
     "LOSS_LOGISTIC",
@@ -58,12 +61,9 @@ def delta_distribution(k: int, dim: int) -> np.ndarray:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, without overflow for scores of either sign."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
@@ -93,12 +93,11 @@ def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
                gradient sigmoid(z) - [q > 0].
     """
     if loss_kind == LOSS_LOGISTIC:
-        m = scores.max(axis=-1, keepdims=True)
-        lse = m[..., 0] + np.log(np.exp(scores - m).sum(axis=-1))
-        logq = np.where(targets > 0, np.log(np.where(targets > 0, targets, 1.0)), 0.0)
+        p, lse = softmax_logsumexp_rows(scores)
+        logq = np.log(np.where(targets > 0, targets, 1.0))
         entropy = -(targets * logq).sum(axis=-1)
         values = -entropy - (targets * scores).sum(axis=-1) + lse
-        grads = softmax_rows(scores) - targets
+        grads = p - targets
     elif loss_kind == LOSS_SPARSEMAX:
         shifted, tau = shifted_threshold(scores)
         grads = project_shifted(shifted, tau) - targets

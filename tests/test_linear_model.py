@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.optimize import minimize
 
 from helpers import fd_gradient
@@ -83,6 +84,34 @@ def wide_threshold_rows(rng, width):
     return np.array(rows)
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_row_threshold_matches_scalar(scores):
+    """The row and 1-D threshold kernels are separate code, so they must
+    give the same shifted scores, tau and projection bit for bit, and the
+    support of threshold_and_support."""
+    shifted, tau = shifted_threshold(scores)
+    assert tau.shape == (scores.shape[0], 1)
+    projected = sparsemax_rows(scores)
+    for i, row in enumerate(scores):
+        row_shifted, row_tau = shifted_threshold(row)
+        s = threshold_and_support(row)
+        assert np.array_equal(bits(shifted[i]), bits(row_shifted))
+        assert bits(tau[i, 0]) == bits(row_tau)
+        assert np.array_equal(bits(projected[i]), bits(sparsemax(row)))
+        assert np.array_equal(np.flatnonzero(shifted[i] > tau[i]), s.indices)
+        assert s.k == s.indices.size
+
+
+# Score entries with many ties, signed zeros among them.
+tied_score_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False),
+)
+
+
 def random_problem(rng, n=5, d=3, k=4):
     X = rng.normal(size=(n, d))
     Q = rng.dirichlet(np.ones(k), size=n)
@@ -97,20 +126,30 @@ def document_problem():
     return standardize_features(train, train)[0]
 
 
+def objective(W, b, data, lam, loss_kind):
+    """fit's objective at (W, b): the value, the gradient in W and in b.
+
+    The targets go in label-major, as fit passes them, so the value
+    matches fit's history bit for bit.
+    """
+    theta = np.concatenate([np.ravel(W), b])
+    value, grad = _objective(theta, data.X, np.ascontiguousarray(data.Q.T).T, lam, loss_kind)
+    return value, grad[: np.size(W)].reshape(np.shape(W)), grad[np.size(W) :]
+
+
 def objective_at(model, data, lam):
-    return _objective(model.W, model.b, data.X, data.Q, lam, model.loss_kind)
+    return objective(model.W, model.b, data, lam, model.loss_kind)
 
 
 def scipy_optimum(data, lam, loss_kind):
     """The objective's minimum by scipy's L-BFGS-B, run to its rounding floor."""
-    K, D = data.n_labels, data.n_features
 
     def fun(theta):
-        value, grad_W, grad_b = _objective(theta[: K * D].reshape(K, D), theta[K * D :], data.X, data.Q, lam, loss_kind)
-        return value, np.concatenate([grad_W.ravel(), grad_b])
+        return _objective(theta, data.X, data.Q, lam, loss_kind)
 
     options = {"maxiter": 100_000, "maxfun": 200_000, "maxcor": 30, "ftol": 0.0, "gtol": 1e-12}
-    return minimize(fun, np.zeros(K * D + K), jac=True, method="L-BFGS-B", options=options).fun
+    size = data.n_labels * (data.n_features + 1)
+    return minimize(fun, np.zeros(size), jac=True, method="L-BFGS-B", options=options).fun
 
 
 def separable_line():
@@ -158,26 +197,65 @@ class TestConfigs:
 class TestBatchedOps:
     """The row kernels must agree with the 1-D public functions."""
 
-    def test_row_threshold_matches_scalar(self):
-        # The row and 1-D threshold kernels are separate code, so they must
-        # give the same tau bit for bit and the support of threshold_and_support.
+    @given(st.lists(tied_score_entries, min_size=1, max_size=12).map(np.array))
+    @example(row=np.array([0.0, -0.0, -0.5]))
+    @example(row=np.array([-0.0, -0.0, -0.0]))
+    @example(row=np.array([1.0, 1.0, 0.0]))
+    @example(row=np.array([0.5, -0.0, 0.5]))
+    @example(row=np.array([0.0, -0.0, -0.5, -0.5]))
+    def test_row_threshold_matches_scalar(self, row):
+        # The row kernel reads each row's maximum from its sort and the 1-D
+        # kernel from max(), which may pick the other of two tied zeros (it
+        # does on the last example), so a signed zero or a tie at the
+        # maximum must not change tau, the shifted scores or the projection.
+        scores = np.vstack([row, row[::-1]])
+        assert_row_threshold_matches_scalar(scores)
+        assert_row_threshold_matches_scalar(np.asfortranarray(scores))
+
+    def test_edge_and_wide_row_thresholds_match_scalar(self):
         # Past 256 scores the 1-D kernel sorts only the scores within 1 of the
         # maximum when fewer than half are, so the wide rows take both paths.
         rng = np.random.default_rng(4)
-        for width in (6, 257, 1000, 20_000):
-            if width == 6:
-                scores = np.vstack([rng.normal(scale=3.0, size=(64, 6)), EDGE_ROWS])
+        assert_row_threshold_matches_scalar(np.vstack([rng.normal(scale=3.0, size=(64, 6)), EDGE_ROWS]))
+        for width in (257, 1000, 20_000):
+            assert_row_threshold_matches_scalar(wide_threshold_rows(rng, width))
+
+    @pytest.mark.parametrize("width", (1, 3, 10, 37))
+    def test_row_kernels_do_not_depend_on_layout(self, width):
+        # fit hands the kernels the transposed view of label-major scores, a
+        # Fortran-ordered (N, K) matrix.  At 10 and 37 labels numpy sums a
+        # C-ordered row pairwise and a Fortran-ordered one in sequence, so
+        # sums may differ in the last bits; nothing else may.
+        rng = np.random.default_rng(width)
+        scores = rng.normal(scale=3.0, size=(64, width))
+        scores[:8] += 1e4
+        scores[8:12] = 0.0
+        targets = rng.dirichlet(np.full(width, 0.3), size=64)
+        targets[targets < 0.05] = 0.0
+        targets /= targets.sum(axis=1, keepdims=True)
+        fortran = np.ascontiguousarray(scores.T).T
+        fortran_targets = np.ascontiguousarray(targets.T).T
+        assert fortran.flags.f_contiguous and np.array_equal(fortran, scores)
+        eps = np.finfo(np.float64).eps
+        # A loss value sums K terms of at most max |z| + log K each, and
+        # the order of the sum moves it by a few ulps of that magnitude.
+        value_tol = 4 * eps * width * (np.abs(scores).max(axis=1) + np.log(width) + 1.0)
+
+        shifted, tau = shifted_threshold(fortran)
+        c_shifted, c_tau = shifted_threshold(scores)
+        assert np.array_equal(bits(shifted), bits(c_shifted))
+        assert np.array_equal(bits(tau), bits(c_tau))
+        assert np.array_equal(shifted > tau, c_shifted > c_tau)
+        assert np.array_equal(bits(sparsemax_rows(fortran)), bits(sparsemax_rows(scores)))
+        assert np.all(np.abs(softmax_rows(fortran) - softmax_rows(scores)) <= 4 * eps)
+        for loss_kind in ALL_LOSSES:
+            values, grads = loss_rows(fortran, fortran_targets, loss_kind)
+            c_values, c_grads = loss_rows(scores, targets, loss_kind)
+            assert np.all(np.abs(values - c_values) <= value_tol)
+            if loss_kind == LOSS_LOGISTIC:
+                assert np.all(np.abs(grads - c_grads) <= 4 * eps)
             else:
-                scores = wide_threshold_rows(rng, width)
-            shifted, tau = shifted_threshold(scores)
-            assert tau.shape == (scores.shape[0], 1)
-            for i, row in enumerate(scores):
-                row_shifted, row_tau = shifted_threshold(row)
-                s = threshold_and_support(row)
-                assert np.array_equal(shifted[i], row_shifted)
-                assert tau[i, 0] == row_tau
-                assert np.array_equal(np.flatnonzero(shifted[i] > tau[i]), s.indices)
-                assert s.k == s.indices.size
+                assert np.array_equal(bits(grads), bits(c_grads))
 
     def test_sparsemax_rows_match_scalar(self):
         rng = np.random.default_rng(5)
@@ -255,23 +333,19 @@ class TestObjective:
                 assert gaps[gaps > 0].min() > 1e-3
 
         def objective_flat(theta):
-            W_ = theta[:12].reshape(4, 3)
-            b_ = theta[12:]
-            return _objective(W_, b_, data.X, data.Q, lam, loss_kind)[0]
+            return _objective(theta, data.X, data.Q, lam, loss_kind)
 
-        value, grad_W, grad_b = _objective(W, b, data.X, data.Q, lam, loss_kind)
         theta = np.concatenate([W.ravel(), b])
-        fd = fd_gradient(objective_flat, theta)
-        analytic = np.concatenate([grad_W.ravel(), grad_b])
-        np.testing.assert_allclose(analytic, fd, atol=1e-6)
+        fd = fd_gradient(lambda t: objective_flat(t)[0], theta)
+        np.testing.assert_allclose(objective_flat(theta)[1], fd, atol=1e-6)
 
     def test_bias_is_not_regularized(self):
         rng = np.random.default_rng(1)
         data = random_problem(rng)
         W = rng.normal(size=(4, 3))
         b = rng.normal(size=4)
-        v0, gw0, gb0 = _objective(W, b, data.X, data.Q, 0.0, LOSS_LOGISTIC)
-        v1, gw1, gb1 = _objective(W, b, data.X, data.Q, 10.0, LOSS_LOGISTIC)
+        v0, gw0, gb0 = objective(W, b, data, 0.0, LOSS_LOGISTIC)
+        v1, gw1, gb1 = objective(W, b, data, 10.0, LOSS_LOGISTIC)
         assert np.array_equal(gb0, gb1)
         np.testing.assert_allclose(gw1 - gw0, 10.0 * W, atol=1e-12)
         assert v1 - v0 == pytest.approx(5.0 * np.sum(W * W), rel=1e-12)
@@ -282,7 +356,7 @@ class TestFit:
         data = separable_line()
         cfg = TrainConfig(lam=0.0, max_epochs=300, learning_rate=1.0, convergence_tol=1e-12)
         model = fit(data, cfg, LOSS_SPARSEMAX)
-        final = _objective(model.W, model.b, data.X, data.Q, 0.0, LOSS_SPARSEMAX)[0]
+        final = objective_at(model, data, 0.0)[0]
         assert final < 1e-6
         rule = DecisionRule(RULE_SPARSEMAX_SCALE, 1.0)
         for x, row in zip(data.X, data.Q):
@@ -293,7 +367,7 @@ class TestFit:
         cfg = TrainConfig(max_epochs=50, convergence_tol=1e-12)
         history = []
         fit(data, cfg, LOSS_LOGISTIC, history=history)
-        start = _objective(np.zeros((2, 1)), np.zeros(2), data.X, data.Q, 0.0, LOSS_LOGISTIC)[0]
+        start = objective(np.zeros((2, 1)), np.zeros(2), data, 0.0, LOSS_LOGISTIC)[0]
         assert history[0] == start
         assert len(history) <= cfg.max_epochs + 1
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
@@ -387,7 +461,7 @@ class TestFit:
         ]
         for init in inits:
             model = fit(data, cfg, loss_kind, init=init)
-            finals.append(_objective(model.W, model.b, data.X, data.Q, cfg.lam, loss_kind)[0])
+            finals.append(objective_at(model, data, cfg.lam)[0])
         assert max(finals) - min(finals) < 1e-4
 
     def test_training_is_deterministic(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from sparsemax import (
     delta_distribution,
     logistic_loss,
     logistic_loss_multi,
+    sigmoid,
     softmax,
     sparsemax,
     sparsemax_loss,
@@ -215,6 +218,44 @@ class TestMultiTargetLosses:
             sparsemax_loss_multi([0.0, 0.0], [1.5, -0.5])
         with pytest.raises(ValueError):
             sparsemax_loss_multi([0.0, 0.0], [0.5, 0.25, 0.25])
+
+
+def two_branch_sigmoid(z):
+    """1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere, each
+    branch on its own entries, so that neither exponential overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+SIGMOID_EDGES = [0.0, 1e-300, 5e-324, 36.0, 709.0, 745.0, 746.0, 1e308]
+
+
+class TestSigmoid:
+    """sigmoid computes both branches from e^-|z| and picks one per entry;
+    it must give the two-branch formula bit for bit, with no warning."""
+
+    @staticmethod
+    def assert_matches_two_branch(z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(z)
+        assert np.array_equal(got.view(np.int64), two_branch_sigmoid(z).view(np.int64))
+
+    def test_edges(self):
+        # Signed zeros and subnormals, where e^-|z| rounds to 1; 36, past
+        # which 1 + e^-z rounds to 1; and 709, 745, 746 and 1e308, around
+        # where e^z overflows and e^-z underflows to a subnormal, then to 0.
+        z = np.array(SIGMOID_EDGES + [-x for x in SIGMOID_EDGES])
+        self.assert_matches_two_branch(z)
+        assert sigmoid(np.array([0.0, -0.0]))[0] == sigmoid(np.array([0.0, -0.0]))[1] == 0.5
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20).map(np.array))
+    def test_matches_two_branch_formula(self, z):
+        self.assert_matches_two_branch(z)
 
 
 class TestHuberReference:

@@ -135,10 +135,10 @@ def _objective(theta, X, Q, lam, loss_kind):
     n, n_labels = Q.shape
     n_weights = theta.size - n_labels
     W, b = theta[:n_weights].reshape(n_labels, -1), theta[n_weights:]
-    values, grads = loss_rows((W @ X.T + b[:, None]).T, Q, loss_kind)
+    values, grads = loss_rows((W.dot(X.T) + b[:, None]).T, Q, loss_kind)
     value = 0.5 * lam * float((W * W).sum()) + float(values.sum() / n)
     grad = np.empty(theta.size)
-    np.add(lam * W, grads.T @ X / n, out=grad[:n_weights].reshape(W.shape))
+    np.add(lam * W, grads.T.dot(X) / n, out=grad[:n_weights].reshape(W.shape))
     np.divide(grads.sum(axis=0), n, out=grad[n_weights:])
     return value, grad
 
@@ -219,7 +219,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         for _ in range(_MAX_HALVINGS + 1):
             theta_new = theta + trial * direction
             value_new, grad_new = _objective(theta_new, X, Q, cfg.lam, loss_kind)
-            if np.isfinite(value_new) and value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
+            if math.isfinite(value_new) and value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
                 break
             trial *= 0.5
         else:

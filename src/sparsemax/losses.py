@@ -95,8 +95,8 @@ def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
     if loss_kind == LOSS_LOGISTIC:
         p, lse = softmax_logsumexp_rows(scores)
         logq = np.log(np.where(targets > 0, targets, 1.0))
-        entropy = -(targets * logq).sum(axis=-1)
-        values = -entropy - (targets * scores).sum(axis=-1) + lse
+        neg_entropy = (targets * logq).sum(axis=-1)
+        values = neg_entropy - (targets * scores).sum(axis=-1) + lse
         grads = p - targets
     elif loss_kind == LOSS_SPARSEMAX:
         shifted, tau = shifted_threshold(scores)

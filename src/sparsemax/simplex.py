@@ -186,11 +186,11 @@ def _shifted_threshold_rows(scores: np.ndarray):
     n_rows, n_cols = scores.shape
     ks = np.arange(1, n_cols + 1)
     feasible = (1.0 + ks * z_sorted > cssv) & (z_sorted > -1.0)
-    k = n_cols - np.argmax(feasible[:, ::-1], axis=1)
-    rows = np.arange(n_rows)
-    tau = (cssv[rows, k - 1] - 1.0) / k
+    k = (feasible * ks).max(axis=1)
+    rows, last = np.arange(n_rows), k - 1
+    tau = (cssv[rows, last] - 1.0) / k
     below = np.where(k < n_cols, z_sorted[rows, np.minimum(k, n_cols - 1)], -np.inf)
-    tau = np.minimum(np.maximum(tau, below), np.nextafter(z_sorted[rows, k - 1], -np.inf))
+    tau = np.minimum(np.maximum(tau, below), np.nextafter(z_sorted[rows, last], -np.inf))
     return shifted, tau[:, None]
 
 

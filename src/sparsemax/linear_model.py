@@ -129,8 +129,8 @@ def _objective(theta, X, Q, lam, loss_kind):
     The scores are formed label-major, (K, N), and loss_rows gets their
     (N, K) transposed view, so its reductions over the labels run over K
     contiguous rows of N, not N rows of K.  fit lays Q out alike, once.
-    At 240 rows, 10 labels and 10 features a call takes about 64 us
-    (logistic) and 134 us (sparsemax), down from 142 and 179 (README.md).
+    At 240 rows, 10 labels and 10 features a call takes about 52 us
+    (logistic) and 113 us (sparsemax), down from 134 and 158 (README.md).
     """
     n, n_labels = Q.shape
     n_weights = theta.size - n_labels

@@ -10,7 +10,7 @@ Every loss formula lives once, in :func:`loss_rows`, which evaluates a
 whole batch of score rows against their targets in either memory layout.
 The training objective of ``linear_model`` calls it directly, on the
 transposed view of label-major scores and targets: at 240 rows and 10
-labels a call takes about 48 us for the logistic loss and 115 us for the
+labels a call takes about 32 us for the logistic loss and 102 us for the
 sparse one (README.md).  The 1-D functions validate one score vector
 and target with ``simplex`` and call it on that row.  Softmax, the
 sparsemax threshold and the projection come from ``simplex``.

@@ -14,14 +14,14 @@ scores, on which a max over K = 10 labels of 240 rows takes 1.9 against
 12.7 us.  Only sums over K >= 8 depend on the layout, in their last
 bits: numpy adds a C-ordered row pairwise.  The kernels trust their
 input; the 1-D public functions validate a score vector and call them.
-The threshold search has two kernels, one per shape, because on a single
-row the row kernel's set-up costs more than its sort: 32 against 21 us at
-K = 10.  Both search only the candidates, the scores within 1 of the
-maximum.  The 1-D kernel also sorts only those when they are fewer than
-half of more than 256 scores: at K = 10^5 with 1-3 scores in the support,
-``sparsemax`` went from 401 to 1,913 rows/s (README.md).  ``check_scores``
-and ``check_distribution`` validate the 1-D inputs of this module,
-``losses`` and ``jacobians``.
+The threshold search has two kernels, one per shape.  Both search only
+the candidates, the scores within 1 of the maximum.  The row kernel sorts
+each row; the 1-D kernel sorts nothing and runs Michelot's fixed point on
+the candidates.  On one row of K = 10 the row kernel takes 38 against
+11 us.  At K = 10^5 with every score in the support, ``sparsemax`` went
+from 370 to 1,888 rows/s when the 1-D kernel stopped sorting (README.md).
+``check_scores`` and ``check_distribution`` validate the 1-D inputs of
+this module, ``losses`` and ``jacobians``.
 """
 
 from __future__ import annotations
@@ -108,75 +108,65 @@ def softmax(z) -> np.ndarray:
     return softmax_rows(check_scores(z))
 
 
-# Rows of more scores than this sort only their candidates when fewer than
-# half qualify.  Below it the copy of the candidates costs about what it
-# saves in the sort.  On a sparse row the filtered and the full sort tied
-# at K = 256 (17.8 us each), the filter lost at K = 128 (15.1 against
-# 13.1 us) and won at K = 1024 (16.6 against 17.8 us); best of 9 x 3,000
-# calls, 2 shared cores, Python 3.11.7, numpy 2.4.6.
-_FILTER_MIN_SIZE = 256
-
-
 def _shifted_threshold(z: np.ndarray):
     """Max-shifted scores z - max(z) and the threshold of their projection.
 
-    Sorts the candidates, the shifted scores above -1, in descending
-    order, takes the largest k satisfying
-
-        1 + k * z_(k) > z_(1) + ... + z_(k)
-
-    with a strict comparison and no epsilon slack, and sets
-    tau = (z_(1) + ... + z_(k) - 1) / k.  Shifting is a no-op in exact
-    arithmetic, but it keeps the sums and z - tau at the scale of the
-    unit simplex, so their rounding error no longer grows with |z|: a
-    singleton support gives tau = -1 and a projection of exactly 1.  In
-    exact arithmetic tau lies in [z_(k+1), z_(k)); rounding can land it a
-    hair outside, so it is clamped back into that interval.
+    Michelot's (1986) fixed point on the candidates, the shifted scores
+    above -1 (the filter step of Condat 2016): each pass sets
+    tau = (sum(c) - 1) / |c| over the candidates c left and drops those at
+    or below it, until none drops.  Nothing is sorted.  Shifting is a
+    no-op in exact arithmetic, but it keeps the sums and z - tau at the
+    scale of the unit simplex, so their rounding error no longer grows
+    with |z|: a singleton support gives tau = -1 and a projection of
+    exactly 1.
 
     Only candidates can be in the support: the largest projected value
-    is -tau <= 1, so tau >= -1.  In exact arithmetic the test above
-    already forces z_(k) > -1, since z_(1) = 0 and the other k - 1 terms
-    are at least z_(k).  In floating point it does not: on
-    [0, -w, ..., -w] with w = 1 + 5 * 2**-52 and 16 scores, the rounded
-    sums of a full search pass the test at k = 16 and give a projection
-    whose largest value exceeds 1.  The search therefore runs over the
-    candidates only.  Every candidate is > -1 and the first is 0, so each
-    rounded partial sum is >= -(j - 1): rounding is monotone and the
-    integers are representable.  Hence the computed tau >= -1 >= every
-    other score, and when k takes all the candidates the clamp needs no
-    lower bound from the scores left out.
+    is -tau <= 1, so tau >= -1.  A search over every score can misfire:
+    on [0, -w, ..., -w] with w = 1 + 5 * 2**-52 and 16 scores, rounded
+    sorted sums pass the support test at k = 16 and give a projection
+    whose largest value exceeds 1.  Over the candidates the bound holds
+    in any order of summation.  Each of j candidates is > -1 and one is
+    0, so their exact sum is > -(j - 1); rounding is monotone and keeps
+    the integer -(j - 1), so any addition tree gives at least -(j - 1),
+    and every computed tau is >= -1 >= every score left out.
 
-    This is the filter step of Condat (2016).  The candidates are found
-    with one pass over the row.  A row of more than _FILTER_MIN_SIZE
-    scores of which fewer than half are candidates sorts the candidates
-    alone.  Any other row sorts all its scores and keeps the candidates
-    at its head: on a short row the copy costs what it saves, and on a
-    dense row, whose support can hold every score, it saves little.
+    The loop ends within m passes for m candidates: the 0 always
+    survives, since the candidates sum to at most 0 and tau is negative,
+    and every pass but the last drops a candidate.  A pass keeps only
+    scores above its tau and drops the rest, so every survivor exceeds
+    every dropped score.  In exact arithmetic tau lies between the
+    largest dropped score and the smallest survivor; rounding can land it
+    a hair outside, so it is clamped back into [largest dropped,
+    nextafter(smallest survivor, -inf)], never empty by the above.  The
+    support is then exactly shifted > tau.
     """
     shifted = z - (z.max() or 0.0)
-    candidates = shifted > -1.0
-    m = np.count_nonzero(candidates)
-    if z.size > _FILTER_MIN_SIZE and 2 * m < z.size:
-        z_sorted = -np.sort(-shifted[candidates])
-    else:
-        z_sorted = -np.sort(-shifted)[:m]
-    cssv = np.cumsum(z_sorted)
-    ks = np.arange(1, m + 1)
-    feasible = np.nonzero(1.0 + ks * z_sorted > cssv)[0]
-    k = int(feasible[-1]) + 1
-    tau = (cssv[k - 1] - 1.0) / k
-    below = z_sorted[k] if k < m else -np.inf
-    tau = float(min(max(tau, below), np.nextafter(z_sorted[k - 1], -np.inf)))
-    return shifted, tau
+    c = shifted[shifted > -1.0]
+    below = -np.inf
+    while True:
+        tau = (c.sum() - 1.0) / c.size
+        smallest = c.min()
+        if smallest > tau:
+            break
+        keep = c > tau
+        below = c[~keep].max()
+        c = c[keep]
+    return shifted, float(min(max(tau, below), np.nextafter(smallest, -np.inf)))
 
 
 def _shifted_threshold_rows(scores: np.ndarray):
-    """Row by row the computation of :func:`_shifted_threshold`, clamp included.
+    """Row by row the threshold of :func:`_shifted_threshold`, by a sorted search.
 
-    Every row sorts all its scores once and reads its maximum from the
-    sort; the test is masked to the candidates, the sorted scores above
-    -1.  tau comes back as an (N, 1) column, so it broadcasts against the
-    rows.
+    Every row sorts all its scores once, reads its maximum from the sort
+    and takes the largest k with 1 + k * z_(k) > z_(1) + ... + z_(k)
+    among its candidates, the sorted shifted scores above -1; then
+    tau = (z_(1) + ... + z_(k) - 1) / k, clamped into [z_(k+1), z_(k)).
+    The prefix sums are one addition tree over the candidates, so the
+    1-D kernel's bound tau >= -1 holds here too.  A masked version of the
+    1-D loop took 3-4 passes on 240 x 10 Gaussian scores, the shape of the
+    label-proportion fits, and did not beat the sort there even with its
+    clamp left out (77 against 76 us; 2 cores, numpy 2.4.6).  tau comes
+    back as an (N, 1) column, so it broadcasts against the rows.
     """
     z_sorted = np.sort(scores, axis=1)[:, ::-1]
     top = z_sorted[:, :1] + 0.0
@@ -198,11 +188,14 @@ def shifted_threshold(scores: np.ndarray):
     """Max-shifted scores and the threshold tau of their projection.
 
     One row (K,) gives tau as a float, from the 1-D kernel; rows (N, K)
-    give tau as an (N, 1) column, from the row kernel.  Both kernels search
-    the same candidates with the same sums, so a row gets the same tau bit
-    for bit either way, and its support is exactly shifted > tau.  Both
-    shift by 0.0 where the maximum is a zero, whichever sign max() or the
-    sort picks from tied zeros, so the shifted scores agree bit for bit too.
+    give tau as an (N, 1) column, from the row kernel.  Both shift by 0.0
+    where the maximum is a zero, whichever sign max() or the sort picks
+    from tied zeros, so a row gets the same shifted scores bit for bit
+    either way, and the same support, exactly shifted > tau.  tau itself
+    is the same mean over that support of k scores, with the terms added
+    in another order: in sequence by the row kernel, pairwise by numpy in
+    the 1-D kernel.  The shifted scores lie in [-1, 0] on the support, so
+    the two differ by at most 2 * k * eps, and so do the projections.
     """
     if scores.ndim == 1:
         return _shifted_threshold(scores)
@@ -228,6 +221,10 @@ def threshold_and_support(z) -> SupportSet:
     support holds the k largest scores and z_(k) > z_(k+1).  tau is the
     shifted threshold moved back by max(z) and clamped into
     [z_(k+1), z_(k)), so the support is also exactly {i : z_i > tau}.
+    The two bounds are read from z, not moved back from the kernel's
+    shifted ones: z - max(z) can round distinct scores to one value.  On
+    [0.5, 0.5, 3.16e-111] the last score shifts to -0.5, which moves back
+    to 0.0, and a clamp to that would leave it above tau.
     """
     z = check_scores(z)
     shifted, tau_shifted = _shifted_threshold(z)

@@ -188,7 +188,9 @@ class TestSparsemax:
         assert p[0] == p[1] == 0.5
         assert p[2] == 0.0 and p[3] == 0.0
 
-    @pytest.mark.parametrize("dim, w", ((16, 1.0 + 5 * 2.0**-52), (300, 1.0 + 3 * 2.0**-46)))
+    @pytest.mark.parametrize(
+        "dim, w", ((16, 1.0 + 5 * 2.0**-52), (300, 1.0 + 3 * 2.0**-46), (100_000, 1.0 + 3 * 2.0**-46))
+    )
     def test_one_hot_when_the_rest_lie_just_below_minus_one(self, dim, w):
         # The rounded partial sums of [0, -w, ..., -w] drift below the exact
         # ones, so a threshold search over every score passes its test at
@@ -201,10 +203,36 @@ class TestSparsemax:
         assert threshold_and_support(z).indices.tolist() == [0]
 
 
-class TestSortedScores:
-    """The 1-D threshold sorts only the scores within 1 of the maximum."""
+def assert_projection(z):
+    """sparsemax(z) and threshold_and_support(z) meet the projection's
+    optimality conditions at the rounding level: p lies on the simplex,
+    p = z - tau on the support, and the support is exactly {i : z_i > tau}
+    and {i : p_i > 0}, with p a literal 0.0 elsewhere."""
+    p = sparsemax(z)
+    s = threshold_and_support(z)
+    eps = np.finfo(np.float64).eps
+    assert np.array_equal(s.indices, np.flatnonzero(z > s.tau))
+    assert np.array_equal(s.indices, np.flatnonzero(p))
+    assert np.all(p >= 0.0)
+    assert abs(p.sum() - 1.0) <= 4 * eps * s.k
+    scale = max(1.0, np.abs(z).max())
+    assert np.all(np.abs(p[s.indices] - (z[s.indices] - s.tau)) <= 4 * eps * scale)
 
-    def sorted_sizes(self, monkeypatch, z):
+
+class TestSortFreeThreshold:
+    """The 1-D threshold sorts no score, and its fixed point holds on rows
+    that take many passes."""
+
+    @pytest.mark.parametrize("regime, k", (("sparse", 2), ("dense", 100_000), ("gaussian", 10)))
+    def test_sorts_no_score(self, monkeypatch, regime, k):
+        rng = np.random.default_rng(7)
+        if regime == "sparse":
+            z = rng.uniform(-3.0, 0.0, 100_000)
+            z[[10, 5_000, 99_999]] = [1.2, 1.1, 0.5]
+        elif regime == "dense":
+            z = rng.uniform(0.0, 1e-5, 100_000)
+        else:
+            z = rng.normal(size=100_000)
         sizes = []
         numpy_sort = np.sort
 
@@ -216,23 +244,25 @@ class TestSortedScores:
         p = sparsemax(z)
         s = threshold_and_support(z)
         monkeypatch.undo()
-        assert np.array_equal(np.flatnonzero(p), s.indices)
-        return sizes, s.k
+        assert sizes == []
+        assert np.array_equal(np.flatnonzero(p > 0), s.indices)
+        assert s.k == k
 
-    def test_sparse_row_sorts_its_candidates(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        z = rng.uniform(-3.0, 0.0, 100_000)
-        z[[10, 5_000, 99_999]] = [1.2, 1.1, 0.5]
-        sizes, k = self.sorted_sizes(monkeypatch, z)
-        assert k == 2
-        assert sizes == [3, 3]
-
-    def test_dense_row_sorts_every_score(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        z = rng.uniform(0.0, 1e-5, 100_000)
-        sizes, k = self.sorted_sizes(monkeypatch, z)
-        assert k == 100_000
-        assert sizes == [100_000, 100_000]
+    @pytest.mark.parametrize("regime", ("linspace", "square", "uniform", "gaussian", "dense"))
+    def test_rows_of_many_passes(self, regime):
+        # Passes of the fixed point at this seed: 12, 10, 12, 4 and 1; the
+        # first three drop a few hundred candidates at a time.
+        K = 100_000
+        rng = np.random.default_rng(12)
+        z = {
+            "linspace": lambda: -np.linspace(0.0, 0.999, K),
+            "square": lambda: -rng.random(K) ** 2,
+            "uniform": lambda: rng.uniform(-1.0, 0.0, K),
+            "gaussian": lambda: rng.normal(size=K),
+            "dense": lambda: rng.uniform(0.0, 1.0 / K, K),
+        }[regime]()
+        assert_projection(z)
+        assert_projection(z + 8192.0)
 
 
 class TestBruteForce:

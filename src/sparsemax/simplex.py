@@ -191,11 +191,13 @@ def shifted_threshold(scores: np.ndarray):
     give tau as an (N, 1) column, from the row kernel.  Both shift by 0.0
     where the maximum is a zero, whichever sign max() or the sort picks
     from tied zeros, so a row gets the same shifted scores bit for bit
-    either way, and the same support, exactly shifted > tau.  tau itself
-    is the same mean over that support of k scores, with the terms added
-    in another order: in sequence by the row kernel, pairwise by numpy in
-    the 1-D kernel.  The shifted scores lie in [-1, 0] on the support, so
-    the two differ by at most 2 * k * eps, and so do the projections.
+    either way.  tau is the same mean over a support of k scores, with
+    the terms added in another order: in sequence by the row kernel,
+    pairwise by numpy in the 1-D kernel.  The shifted scores lie in
+    [-1, 0] on the support, so the two differ by at most 2 * k * eps, and
+    so do the projections.  Each support is exactly shifted > tau, so a
+    score at the exact threshold can fall in one and not the other: on
+    [0, 0.3, 0.7] the row kernel gives 0.0 a share of 1.1e-16.
     """
     if scores.ndim == 1:
         return _shifted_threshold(scores)

@@ -414,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)
     p_ml.add_argument("--max-epochs", type=int, default=100, help="cap on L-BFGS iterations per fit")
     p_ml.add_argument("--learning-rate", type=float, default=1.0, help="first trial step of each fit")
-    p_ml.add_argument("--tol", type=float, default=1e-7, help="a fit's tolerance on step change and gradient norm")
+    p_ml.add_argument("--tol", type=float, default=1e-7, help="a fit's tolerance on step change and Newton decrement")
     p_ml.add_argument("--no-standardize", action="store_true")
     p_ml.set_defaults(func=cmd_multilabel)
     return parser

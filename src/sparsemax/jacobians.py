@@ -5,8 +5,9 @@ Jacobian depends on z only through the support S: with s the 0/1 indicator
 of S it is Diag(s) - s s^T / |S|, i.e. the graph Laplacian of a clique on
 S scaled by 1 / |S|.  At support boundaries, where the map is not
 differentiable, the convention here is to use the Jacobian of the region
-the forward pass actually selected.  Probability vectors are validated by
-``simplex.check_distribution``.
+the forward pass actually selected.  Both are Diag(w) - c w w^T, with row
+factors (w, c) from the ``*_jacobian_rows`` kernels; probability vectors
+are validated by ``simplex.check_distribution``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .simplex import SupportSet, check_distribution
 
 __all__ = [
     "OpCounter",
+    "softmax_jacobian_rows",
+    "sparsemax_jacobian_rows",
     "softmax_jacobian",
     "sparsemax_jacobian",
     "softmax_jvp",
@@ -37,12 +40,9 @@ class OpCounter:
 
 
 def _check_support(support: SupportSet, dim: int) -> np.ndarray:
-    """support.indices, in O(|S|); ValueError unless they are a valid support.
-
-    Valid means strictly ascending integers in [0, dim), at least one, and
-    as many as support.k.  A repeated index would be counted twice in the
-    support mean.
-    """
+    """support.indices, in O(|S|); ValueError unless they are strictly
+    ascending integers in [0, dim), at least one and as many as support.k
+    (a repeated index would count twice in the support mean)."""
     idx = np.asarray(support.indices)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("support indices must be a one-dimensional integer array")
@@ -57,13 +57,24 @@ def _check_support(support: SupportSet, dim: int) -> np.ndarray:
     return idx
 
 
+def softmax_jacobian_rows(P):
+    """Factors (w, c) = (P, 1) of the softmax Jacobians Diag(w) - c w w^T at outputs P, (N, K) or (K,)."""
+    return P, 1.0
+
+
+def sparsemax_jacobian_rows(P):
+    """Factors (s, 1 / |S|) of Diag(w) - c w w^T at sparsemax outputs P, s = [P > 0]; c is (N, 1) for rows."""
+    s = (P > 0.0).astype(np.float64)
+    return s, 1.0 / s.sum(axis=-1, keepdims=P.ndim > 1)
+
+
 def softmax_jacobian(p) -> np.ndarray:
     """Dense softmax Jacobian Diag(p) - p p^T at output p.
 
     Symmetric, positive semidefinite, rows summing to zero.
     """
-    p = check_distribution(p)
-    return np.diag(p) - np.outer(p, p)
+    w, c = softmax_jacobian_rows(check_distribution(p))
+    return np.diag(w) - c * np.outer(w, w)
 
 
 def sparsemax_jacobian(support: SupportSet, dim: int) -> np.ndarray:
@@ -72,11 +83,8 @@ def sparsemax_jacobian(support: SupportSet, dim: int) -> np.ndarray:
     Equals Diag(s) - s s^T / |S| with s the support indicator; every row
     and column off the support is identically zero.
     """
-    idx = _check_support(support, dim)
-    jac = np.zeros((dim, dim))
-    jac[np.ix_(idx, idx)] = -1.0 / idx.size
-    jac[idx, idx] += 1.0
-    return jac
+    w, c = sparsemax_jacobian_rows(np.bincount(_check_support(support, dim), minlength=dim))
+    return np.diag(w) - c * np.outer(w, w)
 
 
 def softmax_jvp(p, v) -> np.ndarray:
@@ -91,12 +99,10 @@ def softmax_jvp(p, v) -> np.ndarray:
 def sparsemax_jvp(support: SupportSet, v, counter: OpCounter | None = None) -> np.ndarray:
     """Sparsemax Jacobian-vector product: center v on its support mean.
 
-    On the support the result is v minus the mean of v over the support;
-    every other coordinate is zero.  Only the |S| support coordinates are
-    read and written, so the work is O(|S|) regardless of the full length
-    of v.  Pass an :class:`OpCounter` to tally those coordinate touches and
-    verify the sublinear cost.  The returned vector is full length with
-    explicit zeros off the support.
+    On the support the result is v minus its mean over the support; every
+    other coordinate is a literal zero.  Only the |S| support coordinates
+    are read and written, so the work is O(|S|) whatever the length of v;
+    an :class:`OpCounter` tallies those touches.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:

@@ -1,21 +1,20 @@
 """Regularized linear models for distribution targets.
 
 Trains W, b to minimize  lam/2 * ||W||_F^2 + mean_i L(W x_i + b; q_i)
-by full-batch L-BFGS with a backtracking line search.  The bias is never
-regularized.  Three loss kinds are supported: the multinomial
-logistic loss, its sparse analogue, and a bank of independent binary
-logistic losses (one per label, with targets q_i > 0).
+by full-batch L-BFGS with a backtracking line search, stopped on the
+Newton decrement of the exact Hessian.  The bias is never regularized.
+Three loss kinds are supported: the multinomial logistic loss, its sparse
+analogue, and a bank of independent binary logistic losses (one per
+label, with targets q_i > 0).
 
 Set-valued prediction is done by a :class:`DecisionRule`: thresholding the
 per-label sigmoid, thresholding the softmax, or taking the support of
 sparsemax applied to scaled scores.  :func:`decide_rows` applies a rule to
 a whole (N, K) score matrix; :func:`predict_labels` to one example.
 
-This module holds training, prediction and cross-validation only; models
-are not saved or loaded.  The formulas it uses
-live with their math: the loss values and gradients in
-``losses.loss_rows`` (with the ``LOSS_*`` kinds), softmax, sparsemax and
-the threshold in ``simplex``, and the sigmoid in ``losses``.
+The formulas it uses live with their math: the loss values and gradients
+in ``losses.loss_rows``, the transforms in ``simplex``, the factors of
+their Jacobians, which make up the Hessian, in ``jacobians``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .losses import LOSS_KINDS, loss_rows, sigmoid
+from .jacobians import softmax_jacobian_rows, sparsemax_jacobian_rows
+from .losses import LOSS_KINDS, LOSS_LOGISTIC, LOSS_SPARSEMAX, loss_rows, sigmoid
 from .simplex import check_scores, softmax_rows, sparsemax_rows
 
 __all__ = [
@@ -52,6 +52,10 @@ RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 _MAX_HALVINGS = 30
 _MEMORY = 10
 _ARMIJO_C1 = 1e-4
+# On the Hessian's diagonal, for its flat directions (the bias shift, a label
+# outside every support).  With 0 a solve fails in the acceptance-07 sweep;
+# 1e-8 to 1e-16 give it and the acceptance-08 runs the same stops.
+_HESSIAN_RIDGE = 1e-10
 
 logger = logging.getLogger(__name__)
 
@@ -70,21 +74,13 @@ class LinearModel:
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
             raise ValueError("model parameters must be finite")
 
-    @property
-    def n_labels(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.W.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 0.0  # weight of the penalty lam/2 * ||W||_F^2
     max_epochs: int = 100  # cap on the L-BFGS iterations
     learning_rate: float = 1.0  # the first iteration's trial step; later ones try 1
-    convergence_tol: float = 1e-6  # on a step's objective change and the gradient norm, times max(1, |J|)
+    convergence_tol: float = 1e-6  # on a step's change in J, times max(1, |J|); on the Newton decrement, times |J|
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -128,9 +124,9 @@ def _objective(theta, X, Q, lam, loss_kind):
 
     The scores are formed label-major, (K, N), and loss_rows gets their
     (N, K) transposed view, so its reductions over the labels run over K
-    contiguous rows of N, not N rows of K.  fit lays Q out alike, once.
-    At 240 rows, 10 labels and 10 features a call takes about 52 us
-    (logistic) and 113 us (sparsemax), down from 134 and 158 (README.md).
+    contiguous rows of N; fit lays Q out alike, once.  At 240 rows, 10
+    labels and 10 features a call takes 52 us (logistic) and 113 us
+    (sparsemax), down from 134 and 158 (README.md).
     """
     n, n_labels = Q.shape
     n_weights = theta.size - n_labels
@@ -161,19 +157,53 @@ def _two_loop(grad, pairs):
     return q
 
 
+def _hessian(theta, X, lam, loss_kind, ridge=0.0):
+    """J's exact (generalized) Hessian at fit's parameters theta, plus ridge * I.
+
+    With x' = [x, 1] and each row's score Hessian J_i = Diag(w) - c w w^T
+    (jacobians; c = 0 for the binary loss), H = (1/n) sum_i J_i kron x'_i x'_i^T
+    + lam on W: K blocks X'^T Diag(w_k) X' on each label's [W_k, b_k] less A^T A,
+    A with rows sqrt(c_i) w_i kron x'_i, over row chunks that bound the memory.
+    """
+    n, n_features = X.shape
+    n_labels = theta.size // (n_features + 1)
+    n_weights, chunk = theta.size - n_labels, (theta.size + 3) // 4
+    scores = (theta[:n_weights].reshape(n_labels, -1).dot(X.T) + theta[n_weights:, None]).T
+    if loss_kind == LOSS_LOGISTIC:
+        w, c = softmax_jacobian_rows(softmax_rows(scores))
+    elif loss_kind == LOSS_SPARSEMAX:
+        w, c = sparsemax_jacobian_rows(sparsemax_rows(scores))
+    else:
+        w, c = sigmoid(scores) * sigmoid(-scores), 0.0
+    del scores
+    w, c, H, blocks = w.T, np.sqrt(np.broadcast_to(c, (n, 1)))[:, 0], np.zeros((theta.size, theta.size)), 0.0
+    for rows in (slice(i, i + chunk) for i in range(0, n, chunk)):
+        Xc, wc = np.vstack([X[rows].T, np.ones(len(c[rows]))]), w[:, rows] * c[rows]
+        blocks = blocks + w[:, rows].dot(np.einsum("ji,li->ijl", Xc, Xc).reshape(Xc.shape[1], -1))
+        A = np.vstack([np.einsum("ki,ji->kji", wc, Xc[:-1]).reshape(n_weights, -1), wc])
+        H -= A.dot(A.T)
+    idx = np.hstack([np.arange(n_weights).reshape(n_labels, -1), n_weights + np.arange(n_labels)[:, None]])
+    H[idx[:, :, None], idx[:, None, :]] += blocks.reshape(idx.shape + idx.shape[1:])
+    H /= n
+    H.flat[:: theta.size + 1] += ridge + lam * (np.arange(theta.size) < n_weights)
+    return H
+
+
 def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, history=None) -> LinearModel:
     """Train a linear model by L-BFGS with a backtracking line search.
 
-    Each iteration takes the two-loop L-BFGS direction over the last
-    _MEMORY steps (Liu & Nocedal 1989), or the steepest-descent direction
-    when that is not a descent direction.  It tries a step of
-    cfg.learning_rate in the first iteration and of 1 later, halved up to
-    _MAX_HALVINGS times until the objective strictly decreases and meets
-    the Armijo condition, so accepted objective values decrease
-    monotonically.  Training stops once an accepted step changed the
-    objective J by less than cfg.convergence_tol * max(1, |J|) and the
-    gradient norm is at most that; it stops unconverged, and logs a
-    warning, after cfg.max_epochs iterations or when no step decreases J.
+    Each iteration takes the two-loop L-BFGS direction d over the last
+    _MEMORY steps (Liu & Nocedal 1989), or -g if that does not descend, and
+    tries a step of cfg.learning_rate in the first iteration and of 1
+    later, halved up to _MAX_HALVINGS times until J strictly decreases and
+    meets the Armijo condition.  After a step that changed J by less than
+    cfg.convergence_tol * max(1, |J|), fit stops once the Newton decrement
+    g^T H^-1 g / 2 of the exact Hessian H, an estimate of J - J* (Boyd &
+    Vandenberghe 9.5), is at most cfg.convergence_tol * |J| (so a zero
+    gradient where J* = 0).  H is built only when the last decrement, scaled
+    by the fall of the free estimate -g^T d / 2 since, would pass.  fit
+    stops unconverged, and warns with |g| and the last decrement, after
+    cfg.max_epochs iterations or when no step decreases J.
 
     The default start is W = 0, b = 0, which makes the whole procedure
     deterministic; pass init=(W0, b0) to start elsewhere, e.g. from the
@@ -182,8 +212,8 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     appended to it.
 
     Cost: one objective-and-gradient evaluation (_objective, label-major)
-    at the start and one per trial step; an accepted trial's value and
-    gradient are kept, not recomputed.
+    at the start and one per trial step, whose accepted value and gradient
+    are kept; and a Hessian build and solve per decrement.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -205,11 +235,9 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     if history is not None:
         history.append(value)
     pairs = deque(maxlen=_MEMORY)
-    step = cfg.learning_rate
-    iterations = 0
+    step, iterations, direction, decrement, ratio = cfg.learning_rate, 0, -grad, None, 1.0
     unconverged = "reached max_epochs"
     while iterations < cfg.max_epochs:
-        direction = _two_loop(grad, pairs)
         slope = grad.dot(direction)
         if not slope < 0.0:
             pairs.clear()
@@ -235,13 +263,19 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         if history is not None:
             history.append(value)
         step = 1.0
-        if change < cfg.convergence_tol and math.sqrt(grad.dot(grad)) <= cfg.convergence_tol * max(1.0, abs(value)):
-            unconverged = None
-            break
+        direction = _two_loop(grad, pairs)
+        estimate, target = -0.5 * grad.dot(direction), cfg.convergence_tol * abs(value)
+        if change < cfg.convergence_tol and ratio * estimate <= target:
+            decrement = 0.5 * grad.dot(np.linalg.solve(_hessian(theta, X, cfg.lam, loss_kind, _HESSIAN_RIDGE), grad))
+            ratio = decrement / estimate if estimate > 0.0 else ratio
+            if decrement <= target:
+                unconverged = None
+                break
     if unconverged:
         logger.warning(
-            "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s",
-            loss_kind, cfg.lam, iterations, unconverged,
+            "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s; |grad J| %.3g, %s",
+            loss_kind, cfg.lam, iterations, unconverged, math.sqrt(grad.dot(grad)),
+            "no Newton decrement computed" if decrement is None else f"last Newton decrement {decrement:.3g}",
         )
     # The model gets arrays of its own, not views of the search's last
     # vector: a process holding three labelprop sweeps' models peaked
@@ -253,8 +287,8 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
 def predict_scores(model: LinearModel, X) -> np.ndarray:
     """Label scores X W^T + b: (K,) for one feature vector, (N, K) for rows (N, D)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (1, 2) or X.shape[-1] != model.n_features:
-        raise ValueError(f"expected feature vectors of length {model.n_features}")
+    if X.ndim not in (1, 2) or X.shape[-1] != model.W.shape[1]:
+        raise ValueError(f"expected feature vectors of length {model.W.shape[1]}")
     return X @ model.W.T + model.b
 
 

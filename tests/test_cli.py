@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import sys
 
 import numpy as np
@@ -346,3 +347,25 @@ class TestMultilabel:
         assert cell["n_train"] == 6 and cell["n_test"] == 3
         assert cell["macro_f1"] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert cell["micro_f1"] == pytest.approx(0.8, abs=1e-15)
+
+    @pytest.mark.parametrize("method", ["softmax", "sparsemax"])
+    def test_every_fit_converges_on_the_acceptance_08_data(self, tmp_path, capsys, caplog, method):
+        # The full default grid on the data of acceptance 08, whose largest
+        # lam (100) puts the gradient-norm target below the rounding of J.
+        # When fit stopped on the gradient norm, softmax logged 5 warnings
+        # (4 fits at the cap, one on a failed line search) and sparsemax 1.
+        cfg = SyntheticConfig(n_labels=6, n_train=200, n_test=200, mean_doc_length=2000.0, mixture="uniform", seed=11)
+        train, test = generate_synthetic(cfg)
+        write_libsvm_multilabel(train, tmp_path / "train.svm")
+        write_libsvm_multilabel(test, tmp_path / "test.svm")
+        argv = [
+            "multilabel",
+            "--train", str(tmp_path / "train.svm"),
+            "--test", str(tmp_path / "test.svm"),
+            "--method", method,
+            "--out", str(tmp_path / "result.json"),
+            "--seed", "0",
+        ]
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            assert run_cli(argv, capsys)[0] == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "sparsemax.linear_model"] == []

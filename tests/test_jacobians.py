@@ -5,10 +5,14 @@ from sparsemax import (
     OpCounter,
     SupportSet,
     softmax,
+    softmax_rows,
     softmax_jacobian,
+    softmax_jacobian_rows,
     softmax_jvp,
     sparsemax,
+    sparsemax_rows,
     sparsemax_jacobian,
+    sparsemax_jacobian_rows,
     sparsemax_jvp,
     threshold_and_support,
 )
@@ -148,3 +152,25 @@ class TestJvps:
             softmax_jvp([0.5, 0.5], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             sparsemax_jvp(support, [1.0, 2.0])
+
+
+class TestJacobianRows:
+    """The row factors (w, c) of Diag(w) - c w w^T against the dense 1-D Jacobians."""
+
+    def test_softmax_factors_match_dense(self):
+        rng = np.random.default_rng(5)
+        P = softmax_rows(rng.normal(scale=2.0, size=(30, 6)))
+        w, c = softmax_jacobian_rows(P)
+        for row, p in zip(w, P):
+            np.testing.assert_allclose(np.diag(row) - c * np.outer(row, row), softmax_jacobian(p), atol=1e-15)
+
+    def test_sparsemax_factors_match_dense(self):
+        rng = np.random.default_rng(6)
+        Z = rng.normal(scale=2.0, size=(30, 6))
+        Z[0] = [3.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # a singleton support
+        Z[1] = 0.0  # every score in the support
+        w, c = sparsemax_jacobian_rows(sparsemax_rows(Z))
+        assert c.shape == (30, 1)
+        for row, col, z in zip(w, c[:, 0], Z):
+            dense = np.diag(row) - col * np.outer(row, row)
+            assert np.array_equal(dense, sparsemax_jacobian(threshold_and_support(z), 6))

@@ -40,9 +40,12 @@ class OpCounter:
 
 
 def _check_support(support: SupportSet, dim: int) -> np.ndarray:
-    """support.indices, in O(|S|); ValueError unless they are strictly
-    ascending integers in [0, dim), at least one and as many as support.k
-    (a repeated index would count twice in the support mean)."""
+    """support.indices, in O(|S|); ValueError unless they are a valid support.
+
+    Valid means strictly ascending integers in [0, dim), at least one, and
+    as many as support.k.  A repeated index would be counted twice in the
+    support mean.
+    """
     idx = np.asarray(support.indices)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("support indices must be a one-dimensional integer array")
@@ -99,10 +102,12 @@ def softmax_jvp(p, v) -> np.ndarray:
 def sparsemax_jvp(support: SupportSet, v, counter: OpCounter | None = None) -> np.ndarray:
     """Sparsemax Jacobian-vector product: center v on its support mean.
 
-    On the support the result is v minus its mean over the support; every
-    other coordinate is a literal zero.  Only the |S| support coordinates
-    are read and written, so the work is O(|S|) whatever the length of v;
-    an :class:`OpCounter` tallies those touches.
+    On the support the result is v minus the mean of v over the support;
+    every other coordinate is zero.  Only the |S| support coordinates are
+    read and written, so the work is O(|S|) regardless of the full length
+    of v.  Pass an :class:`OpCounter` to tally those coordinate touches and
+    verify the sublinear cost.  The returned vector is full length with
+    explicit zeros off the support.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:

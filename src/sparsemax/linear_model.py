@@ -1,20 +1,22 @@
 """Regularized linear models for distribution targets.
 
 Trains W, b to minimize  lam/2 * ||W||_F^2 + mean_i L(W x_i + b; q_i)
-by full-batch L-BFGS with a backtracking line search, stopped on the
-Newton decrement of the exact Hessian.  The bias is never regularized.
-Three loss kinds are supported: the multinomial logistic loss, its sparse
-analogue, and a bank of independent binary logistic losses (one per
-label, with targets q_i > 0).
+by full-batch L-BFGS with a backtracking line search.  The bias is never
+regularized.  Three loss kinds are supported: the multinomial
+logistic loss, its sparse analogue, and a bank of independent binary
+logistic losses (one per label, with targets q_i > 0).
 
 Set-valued prediction is done by a :class:`DecisionRule`: thresholding the
 per-label sigmoid, thresholding the softmax, or taking the support of
 sparsemax applied to scaled scores.  :func:`decide_rows` applies a rule to
 a whole (N, K) score matrix; :func:`predict_labels` to one example.
 
-The formulas it uses live with their math: the loss values and gradients
-in ``losses.loss_rows``, the transforms in ``simplex``, the factors of
-their Jacobians, which make up the Hessian, in ``jacobians``.
+This module holds training, prediction and cross-validation only; models
+are not saved or loaded.  The formulas it uses
+live with their math: the loss values and gradients in
+``losses.loss_rows`` (with the ``LOSS_*`` kinds), softmax, sparsemax and
+the threshold in ``simplex``, and the sigmoid in ``losses``; the factors
+of their Jacobians, which make up fit's Hessian, in ``jacobians``.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 _MAX_HALVINGS = 30
 _MEMORY = 10
 _ARMIJO_C1 = 1e-4
-# On the Hessian's diagonal, for its flat directions (the bias shift, a label
-# outside every support).  With 0 a solve fails in the acceptance-07 sweep;
-# 1e-8 to 1e-16 give it and the acceptance-08 runs the same stops.
+# Added to the Hessian for its flat directions (the bias shift, a label outside
+# every support), so that p^T H p > 0 in conjugate gradients whatever the
+# rounding.  0 and 1e-16 to 1e-8 give the acceptance-07 sweep and the
+# acceptance-08 runs the same iterations and results; 1e-6 moves 11 iterations.
 _HESSIAN_RIDGE = 1e-10
 
 logger = logging.getLogger(__name__)
@@ -73,6 +76,14 @@ class LinearModel:
             raise ValueError("W must be (K, D) and b must be (K,)")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
             raise ValueError("model parameters must be finite")
+
+    @property
+    def n_labels(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.W.shape[1]
 
 
 @dataclass(frozen=True)
@@ -124,9 +135,9 @@ def _objective(theta, X, Q, lam, loss_kind):
 
     The scores are formed label-major, (K, N), and loss_rows gets their
     (N, K) transposed view, so its reductions over the labels run over K
-    contiguous rows of N; fit lays Q out alike, once.  At 240 rows, 10
-    labels and 10 features a call takes 52 us (logistic) and 113 us
-    (sparsemax), down from 134 and 158 (README.md).
+    contiguous rows of N, not N rows of K.  fit lays Q out alike, once.
+    At 240 rows, 10 labels and 10 features a call takes about 52 us
+    (logistic) and 113 us (sparsemax), down from 134 and 158 (README.md).
     """
     n, n_labels = Q.shape
     n_weights = theta.size - n_labels
@@ -157,52 +168,98 @@ def _two_loop(grad, pairs):
     return q
 
 
-def _hessian(theta, X, lam, loss_kind, ridge=0.0):
-    """J's exact (generalized) Hessian at fit's parameters theta, plus ridge * I.
+def _hessian_product(theta, X, lam, loss_kind):
+    """v -> H v + _HESSIAN_RIDGE * v, with H J's exact (generalized) Hessian at theta.
 
-    With x' = [x, 1] and each row's score Hessian J_i = Diag(w) - c w w^T
+    With x' = [x, 1] and each row's score Hessian J_i = Diag(w_i) - c_i w_i w_i^T
     (jacobians; c = 0 for the binary loss), H = (1/n) sum_i J_i kron x'_i x'_i^T
-    + lam on W: K blocks X'^T Diag(w_k) X' on each label's [W_k, b_k] less A^T A,
-    A with rows sqrt(c_i) w_i kron x'_i, over row chunks that bound the memory.
+    + lam on W.  A product maps v = [V.ravel(), v_b] to score directions
+    V X^T + v_b as _objective maps theta to scores, applies each J_i to its
+    column and maps back as _objective forms the gradient: O(N K (D + 1))
+    time, O(N K) memory, and no (P, P) array.
     """
     n, n_features = X.shape
     n_labels = theta.size // (n_features + 1)
-    n_weights, chunk = theta.size - n_labels, (theta.size + 3) // 4
-    scores = (theta[:n_weights].reshape(n_labels, -1).dot(X.T) + theta[n_weights:, None]).T
+    n_weights = theta.size - n_labels
+    scores = (theta[:n_weights].reshape(n_labels, n_features).dot(X.T) + theta[n_weights:, None]).T
     if loss_kind == LOSS_LOGISTIC:
         w, c = softmax_jacobian_rows(softmax_rows(scores))
     elif loss_kind == LOSS_SPARSEMAX:
         w, c = sparsemax_jacobian_rows(sparsemax_rows(scores))
     else:
         w, c = sigmoid(scores) * sigmoid(-scores), 0.0
-    del scores
-    w, c, H, blocks = w.T, np.sqrt(np.broadcast_to(c, (n, 1)))[:, 0], np.zeros((theta.size, theta.size)), 0.0
-    for rows in (slice(i, i + chunk) for i in range(0, n, chunk)):
-        Xc, wc = np.vstack([X[rows].T, np.ones(len(c[rows]))]), w[:, rows] * c[rows]
-        blocks = blocks + w[:, rows].dot(np.einsum("ji,li->ijl", Xc, Xc).reshape(Xc.shape[1], -1))
-        A = np.vstack([np.einsum("ki,ji->kji", wc, Xc[:-1]).reshape(n_weights, -1), wc])
-        H -= A.dot(A.T)
-    idx = np.hstack([np.arange(n_weights).reshape(n_labels, -1), n_weights + np.arange(n_labels)[:, None]])
-    H[idx[:, :, None], idx[:, None, :]] += blocks.reshape(idx.shape + idx.shape[1:])
-    H /= n
-    H.flat[:: theta.size + 1] += ridge + lam * (np.arange(theta.size) < n_weights)
-    return H
+    w = w.T
+    c = np.asarray(c).T
+    XT = np.ascontiguousarray(X.T)
+
+    def product(v):
+        V = v[:n_weights].reshape(n_labels, n_features)
+        wU = V.dot(XT)
+        wU += v[n_weights:, None]
+        wU *= w
+        R = wU - w * (c * wU.sum(axis=0))
+        out = np.empty(v.size)
+        np.add(lam * V, R.dot(X) / n, out=out[:n_weights].reshape(V.shape))
+        np.divide(R.sum(axis=1), n, out=out[n_weights:])
+        out += _HESSIAN_RIDGE * v
+        return out
+
+    return product
+
+
+def _newton_decrement(theta, grad, X, lam, loss_kind, tol, target):
+    """A lower bound on the Newton decrement g^T H^-1 g / 2 at theta, by
+    conjugate gradients on _hessian_product.
+
+    CG from 0 on H x = g adds alpha_j |r_j|^2 / 2 to g^T x / 2 at step j,
+    so the sum rises to the decrement.  It returns once the sum exceeds
+    target (the stop fails whatever the rest adds), once a step adds at
+    most tol times the sum, or after theta.size steps, where CG ends in
+    exact arithmetic.  On the 655 checks of half the labelprop sweep (the
+    200- and 2000-word cells) at tol 1e-6, the second rule returned at
+    least 0.99998 of a dense solve's decrement, after a median of 28
+    (softmax) and 32 (sparsemax) steps of 110; a failing check returned
+    after a median of 2.
+    """
+    product = _hessian_product(theta, X, lam, loss_kind)
+    r = grad.copy()
+    p = grad.copy()
+    rr = r.dot(r)
+    decrement = 0.0
+    for _ in range(theta.size):
+        if not rr > 0.0:
+            break
+        Hp = product(p)
+        alpha = rr / p.dot(Hp)
+        added = 0.5 * alpha * rr
+        decrement += added
+        if decrement > target or added <= tol * decrement:
+            break
+        r -= alpha * Hp
+        rr_next = r.dot(r)
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    return decrement
 
 
 def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, history=None) -> LinearModel:
     """Train a linear model by L-BFGS with a backtracking line search.
 
     Each iteration takes the two-loop L-BFGS direction d over the last
-    _MEMORY steps (Liu & Nocedal 1989), or -g if that does not descend, and
-    tries a step of cfg.learning_rate in the first iteration and of 1
-    later, halved up to _MAX_HALVINGS times until J strictly decreases and
-    meets the Armijo condition.  After a step that changed J by less than
-    cfg.convergence_tol * max(1, |J|), fit stops once the Newton decrement
-    g^T H^-1 g / 2 of the exact Hessian H, an estimate of J - J* (Boyd &
-    Vandenberghe 9.5), is at most cfg.convergence_tol * |J| (so a zero
-    gradient where J* = 0).  H is built only when the last decrement, scaled
-    by the fall of the free estimate -g^T d / 2 since, would pass.  fit
-    stops unconverged, and warns with |g| and the last decrement, after
+    _MEMORY steps (Liu & Nocedal 1989), or the steepest-descent direction
+    when that is not a descent direction.  It tries a step of
+    cfg.learning_rate in the first iteration and of 1 later, halved up to
+    _MAX_HALVINGS times until the objective strictly decreases and meets
+    the Armijo condition, so accepted objective values decrease
+    monotonically.  Training stops once an accepted step changed the
+    objective J by less than cfg.convergence_tol * max(1, |J|) and the
+    Newton decrement g^T H^-1 g / 2 of the exact Hessian H, an estimate of
+    J - J* (Boyd & Vandenberghe 9.5), is at most cfg.convergence_tol * |J|
+    (so a zero gradient where J* = 0).  The decrement comes from conjugate
+    gradients on Hessian-vector products (_newton_decrement), and is
+    checked only when the last one, scaled by the fall of the free
+    estimate -g^T d / 2 since, would pass.  It stops unconverged, and logs
+    a warning with the gradient norm and the last decrement, after
     cfg.max_epochs iterations or when no step decreases J.
 
     The default start is W = 0, b = 0, which makes the whole procedure
@@ -212,8 +269,11 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     appended to it.
 
     Cost: one objective-and-gradient evaluation (_objective, label-major)
-    at the start and one per trial step, whose accepted value and gradient
-    are kept; and a Hessian build and solve per decrement.
+    at the start and one per trial step; an accepted trial's value and
+    gradient are kept, not recomputed.  A decrement check costs one pass
+    for the Jacobian factors and one Hessian-vector product, O(N K (D + 1)),
+    per conjugate-gradient step, with O(N K + P) memory for P = K (D + 1)
+    parameters.
     """
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -235,7 +295,11 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     if history is not None:
         history.append(value)
     pairs = deque(maxlen=_MEMORY)
-    step, iterations, direction, decrement, ratio = cfg.learning_rate, 0, -grad, None, 1.0
+    step = cfg.learning_rate
+    iterations = 0
+    direction = -grad
+    decrement = None  # the last Newton decrement computed
+    ratio = 1.0  # that decrement over the free estimate at the same point
     unconverged = "reached max_epochs"
     while iterations < cfg.max_epochs:
         slope = grad.dot(direction)
@@ -264,9 +328,10 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
             history.append(value)
         step = 1.0
         direction = _two_loop(grad, pairs)
-        estimate, target = -0.5 * grad.dot(direction), cfg.convergence_tol * abs(value)
+        estimate = -0.5 * grad.dot(direction)
+        target = cfg.convergence_tol * abs(value)
         if change < cfg.convergence_tol and ratio * estimate <= target:
-            decrement = 0.5 * grad.dot(np.linalg.solve(_hessian(theta, X, cfg.lam, loss_kind, _HESSIAN_RIDGE), grad))
+            decrement = _newton_decrement(theta, grad, X, cfg.lam, loss_kind, cfg.convergence_tol, target)
             ratio = decrement / estimate if estimate > 0.0 else ratio
             if decrement <= target:
                 unconverged = None
@@ -275,7 +340,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         logger.warning(
             "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s; |grad J| %.3g, %s",
             loss_kind, cfg.lam, iterations, unconverged, math.sqrt(grad.dot(grad)),
-            "no Newton decrement computed" if decrement is None else f"last Newton decrement {decrement:.3g}",
+            "no Newton decrement computed" if decrement is None else f"last Newton decrement at least {decrement:.3g}",
         )
     # The model gets arrays of its own, not views of the search's last
     # vector: a process holding three labelprop sweeps' models peaked
@@ -287,8 +352,8 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
 def predict_scores(model: LinearModel, X) -> np.ndarray:
     """Label scores X W^T + b: (K,) for one feature vector, (N, K) for rows (N, D)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (1, 2) or X.shape[-1] != model.W.shape[1]:
-        raise ValueError(f"expected feature vectors of length {model.W.shape[1]}")
+    if X.ndim not in (1, 2) or X.shape[-1] != model.n_features:
+        raise ValueError(f"expected feature vectors of length {model.n_features}")
     return X @ model.W.T + model.b
 
 

@@ -36,7 +36,7 @@ from sparsemax import (
     threshold_and_support,
 )
 from sparsemax import linear_model
-from sparsemax.linear_model import _hessian, _objective
+from sparsemax.linear_model import _HESSIAN_RIDGE, _hessian_product, _newton_decrement, _objective
 
 ALL_LOSSES = (LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC)
 
@@ -373,8 +373,14 @@ class TestObjective:
         assert v1 - v0 == pytest.approx(5.0 * np.sum(W * W), rel=1e-12)
 
 
+def dense_hessian(theta, X, lam, loss_kind):
+    """The matrix of fit's Hessian-vector product, one column per unit vector."""
+    product = _hessian_product(theta, X, lam, loss_kind)
+    return np.column_stack([product(e) for e in np.eye(theta.size)])
+
+
 class TestHessian:
-    """fit's exact Hessian against the test's own finite differences."""
+    """fit's exact Hessian products against the test's own finite differences."""
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_matches_finite_differences_of_the_gradient(self, loss_kind):
@@ -391,11 +397,9 @@ class TestHessian:
                 assert gaps[gaps > 0].min() > 1e-3
         theta = np.concatenate([W.ravel(), b])
         fd = fd_jacobian(lambda t: _objective(t, data.X, data.Q, lam, loss_kind)[1], theta)
-        H = _hessian(theta, data.X, lam, loss_kind)
-        assert np.array_equal(H, H.T)
-        np.testing.assert_allclose(H, fd, atol=1e-6)
-        ridged = _hessian(theta, data.X, lam, loss_kind, ridge=1e-3)
-        np.testing.assert_allclose(ridged - H, 1e-3 * np.eye(theta.size), atol=1e-15)
+        H = dense_hessian(theta, data.X, lam, loss_kind)
+        np.testing.assert_allclose(H, H.T, atol=1e-15)
+        np.testing.assert_allclose(H, fd + _HESSIAN_RIDGE * np.eye(theta.size), atol=1e-6)
 
     @pytest.mark.parametrize("loss_kind", (LOSS_LOGISTIC, LOSS_SPARSEMAX))
     def test_bias_shift_is_flat(self, loss_kind):
@@ -405,9 +409,31 @@ class TestHessian:
         data = random_problem(rng, n=30, d=3, k=4)
         theta = rng.normal(size=4 * 4)
         shift = np.concatenate([np.zeros(12), np.ones(4)])
-        H = _hessian(theta, data.X, 0.5, loss_kind)
-        np.testing.assert_allclose(H @ shift, 0.0, atol=1e-15)
-        assert np.linalg.eigvalsh(H).min() >= -1e-14
+        H = dense_hessian(theta, data.X, 0.5, loss_kind)
+        np.testing.assert_allclose(H @ shift, _HESSIAN_RIDGE * shift, atol=1e-15)
+        assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= _HESSIAN_RIDGE - 1e-14
+
+    @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
+    def test_decrement_matches_a_dense_solve(self, loss_kind):
+        # Conjugate gradients sum up to g^T H^-1 g / 2 from below: with an
+        # unreachable target they return it to the fit's tolerance, and with
+        # a small one they stop early on a value that is already above it.
+        rng = np.random.default_rng(2)
+        data = random_problem(rng, n=40, d=5, k=6)
+        theta = rng.normal(scale=0.5, size=6 * 6)
+        grad = _objective(theta, data.X, data.Q, 1e-2, loss_kind)[1]
+        H = dense_hessian(theta, data.X, 1e-2, loss_kind)
+        exact = 0.5 * grad @ np.linalg.solve(0.5 * (H + H.T), grad)
+        decrement = _newton_decrement(theta, grad, data.X, 1e-2, loss_kind, 1e-8, np.inf)
+        assert decrement == pytest.approx(exact, rel=1e-6)
+        early = _newton_decrement(theta, grad, data.X, 1e-2, loss_kind, 1e-8, 0.1 * exact)
+        assert 0.1 * exact < early < exact
+
+    def test_decrement_of_a_zero_gradient_is_zero(self):
+        rng = np.random.default_rng(3)
+        data = random_problem(rng, n=10, d=2, k=3)
+        theta = rng.normal(size=3 * 3)
+        assert _newton_decrement(theta, np.zeros(9), data.X, 0.0, LOSS_SPARSEMAX, 1e-6, 0.0) == 0.0
 
 
 class TestFit:
@@ -509,13 +535,14 @@ class TestFit:
         reported = float(message.split("|grad J| ")[1].split(",")[0])
         assert reported == pytest.approx(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2)), rel=1e-2)
         # Cut after a decrement was computed but before one passed (the first
-        # comes at iteration 20, the fit converges at 22), it reports the last.
+        # comes at iteration 20, the fit converges at 22), it reports the last,
+        # a lower bound that failed the target.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
-            fit(data, TrainConfig(lam=1e-3, max_epochs=21), LOSS_SPARSEMAX)
+            model = fit(data, TrainConfig(lam=1e-3, max_epochs=21), LOSS_SPARSEMAX)
         (record,) = caplog.records
-        decrement = float(record.getMessage().split("last Newton decrement ")[1])
-        assert 0.0 < decrement
+        decrement = float(record.getMessage().split("last Newton decrement at least ")[1])
+        assert decrement > 1e-6 * objective_at(model, data, 1e-3)[0]
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="sparsemax.linear_model"):
             fit(data, TrainConfig(lam=1e-3, max_epochs=500), LOSS_SPARSEMAX)
@@ -523,16 +550,23 @@ class TestFit:
 
     def test_warm_started_path_work_stays_bounded(self, monkeypatch):
         # A warm-started lam path like the experiments' cross-validation: the
-        # iterations and Hessian builds of all three losses stay within 10%
-        # of the 659 and 34 of the decrement stop.  fit stopped on the
-        # gradient norm took 1,280 iterations.
-        builds = []
+        # iterations, decrement checks and Hessian-vector products of all
+        # three losses stay within 10% of the 655, 46 and 459 of the decrement
+        # stop.  fit stopped on the gradient norm took 1,280 iterations.
+        checks = []
+        products = []
 
-        def counting_hessian(*args):
-            builds.append(None)
-            return _hessian(*args)
+        def counting_product(*args):
+            product = _hessian_product(*args)
+            checks.append(None)
 
-        monkeypatch.setattr(linear_model, "_hessian", counting_hessian)
+            def counted(v):
+                products.append(None)
+                return product(v)
+
+            return counted
+
+        monkeypatch.setattr(linear_model, "_hessian_product", counting_product)
         data = document_problem()
         iterations = 0
         for loss_kind in ALL_LOSSES:
@@ -542,8 +576,9 @@ class TestFit:
                 model = fit(data, TrainConfig(lam=lam, max_epochs=1000), loss_kind, init=init, history=history)
                 init = (model.W, model.b)
                 iterations += len(history) - 1
-        assert iterations <= 725
-        assert len(builds) <= 37
+        assert iterations <= 720
+        assert len(checks) <= 50
+        assert len(products) <= 504
 
     def test_regularization_shrinks_weights(self):
         data = separable_line()

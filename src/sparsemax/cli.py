@@ -99,6 +99,29 @@ def _write_result(path, config_echo: dict, cells: list[dict]) -> None:
         fh.write("\n")
 
 
+def _training_echo(train_cfg: TrainConfig) -> dict:
+    return {key: getattr(train_cfg, key) for key in ("max_epochs", "learning_rate", "convergence_tol")}
+
+
+def _select_and_fit(train, grid, folds: int, seed: int, train_cfg: TrainConfig, loss_kind: str, score):
+    """Cross-validate the grid on train and fit all of train at the chosen lam: (model, lam, rule parameter).
+
+    score(val_split, val_scores, rule_param) rates a fold model, higher being better.  Candidates come in
+    ascending lam, so each fold keeps its last (lam, model, validation scores): its warm start for the next
+    lam, and the scores for every rule parameter of this one."""
+    last = {}
+
+    def evaluate(fold_i, tr, va, lam, param):
+        if fold_i not in last or last[fold_i][0] != lam:
+            init = (last[fold_i][1].W, last[fold_i][1].b) if fold_i in last else None
+            model = fit(tr, replace(train_cfg, lam=lam), loss_kind, init=init)
+            last[fold_i] = (lam, model, predict_scores(model, va.X))
+        return score(va, last[fold_i][2], param)
+
+    best_lam, best_param = cross_validate(train, grid, folds, evaluate, seed=seed)
+    return fit(train, replace(train_cfg, lam=best_lam), loss_kind), best_lam, best_param
+
+
 def default_rule_grid(method: str, n_labels: int) -> list[float]:
     """Decision-rule parameter grid for a method, restricted to valid values.
 
@@ -168,12 +191,6 @@ def cmd_transform(args) -> int:
 # labelprop
 
 
-def _proportions(model, data: LabeledDataset, loss_kind: str) -> np.ndarray:
-    """Predicted label proportions (N, K) of a split: the model's transform of its scores."""
-    transform = sparsemax_rows if loss_kind == LOSS_SPARSEMAX else softmax_rows
-    return transform(predict_scores(model, data.X))
-
-
 def _cell_seed(seed: int, mixture_index: int, length_index: int) -> int:
     # Independent stream per data cell; both losses see the same datasets.
     ss = np.random.SeedSequence((seed, mixture_index, length_index))
@@ -213,9 +230,7 @@ def run_labelprop(config: dict, seed: int) -> dict:
         "folds": folds,
         "seed": seed,
         "lambdas": lambdas,
-        "max_epochs": train_cfg.max_epochs,
-        "learning_rate": train_cfg.learning_rate,
-        "convergence_tol": train_cfg.convergence_tol,
+        **_training_echo(train_cfg),
     }
     cells = []
     cell_index = 0
@@ -233,19 +248,13 @@ def run_labelprop(config: dict, seed: int) -> dict:
             train, test = generate_synthetic(data_cfg)
             train, test, _, _ = standardize_features(train, test)
             for loss in losses:
-                # Each fold's last model, the warm start of its next (larger) lam.
-                warm = {}
+                proportions = sparsemax_rows if loss == LOSS_SPARSEMAX else softmax_rows
 
-                def evaluate(fold_i, tr, va, lam, param, _loss=loss, _warm=warm):
-                    model = fit(tr, replace(train_cfg, lam=lam), _loss, init=_warm.get(fold_i))
-                    _warm[fold_i] = (model.W, model.b)
-                    return -float(js_divergence_rows(va.Q, _proportions(model, va, _loss)).mean())
-
-                best_lam, _ = cross_validate(
-                    train, [(lam, None) for lam in lambdas], folds, evaluate, seed=data_cfg.seed
+                model, best_lam, _ = _select_and_fit(
+                    train, [(lam, None) for lam in lambdas], folds, data_cfg.seed, train_cfg, loss,
+                    lambda va, val_scores, _: -float(js_divergence_rows(va.Q, proportions(val_scores)).mean()),
                 )
-                model = fit(train, replace(train_cfg, lam=best_lam), loss)
-                predicted = _proportions(model, test, loss)
+                predicted = proportions(predict_scores(model, test.X))
                 cells.append(
                     {
                         "cell_index": cell_index,
@@ -295,56 +304,6 @@ def _pad_dataset(ds: LabeledDataset, n_labels: int, n_features: int) -> LabeledD
     return LabeledDataset(X=X, Q=Q)
 
 
-def run_multilabel(
-    train: LabeledDataset,
-    test: LabeledDataset,
-    method: str,
-    seed: int,
-    train_cfg: TrainConfig,
-    folds: int = 5,
-    lambdas=None,
-    rule_params=None,
-) -> dict:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    loss_kind, rule_kind = METHODS[method]
-    if lambdas is None:
-        lambdas = LAMBDA_GRID_MULTILABEL
-    if rule_params is None:
-        rule_params = default_rule_grid(method, train.n_labels)
-    grid = [(float(lam), float(p)) for lam in lambdas for p in rule_params]
-    # Validation scores of each (fold, lam) model; every rule parameter reuses them.
-    val_scores = {}
-    # Each fold's last model, the warm start of its next (larger) lam.
-    warm = {}
-
-    def evaluate(fold_i, tr, va, lam, param):
-        key = (fold_i, lam)
-        if key not in val_scores:
-            model = fit(tr, replace(train_cfg, lam=lam), loss_kind, init=warm.get(fold_i))
-            warm[fold_i] = (model.W, model.b)
-            val_scores[key] = predict_scores(model, va.X)
-        on = decide_rows(val_scores[key], DecisionRule(kind=rule_kind, param=param))
-        micro, _ = micro_macro_f1_rows(on, va.Q > 0.0)
-        return micro
-
-    best_lam, best_param = cross_validate(train, grid, folds, evaluate, seed=seed)
-    model = fit(train, replace(train_cfg, lam=best_lam), loss_kind)
-    on = decide_rows(predict_scores(model, test.X), DecisionRule(kind=rule_kind, param=best_param))
-    micro, macro = micro_macro_f1_rows(on, test.Q > 0.0)
-    cell = {
-        "cell_index": 0,
-        "method": method,
-        "lambda": float(best_lam),
-        "rule_param": float(best_param),
-        "micro_f1": micro,
-        "macro_f1": macro,
-        "n_train": train.n_examples,
-        "n_test": test.n_examples,
-    }
-    return {"cell": cell, "lambdas": [float(v) for v in lambdas], "rule_params": [float(v) for v in rule_params]}
-
-
 def cmd_multilabel(args) -> int:
     started = time.monotonic()
     seed = args.seed if args.seed is not None else _env_default_seed()
@@ -357,30 +316,40 @@ def cmd_multilabel(args) -> int:
     test = _pad_dataset(test, n_labels, n_features)
     if not args.no_standardize:
         train, test, _, _ = standardize_features(train, test)
-    result = run_multilabel(
-        train,
-        test,
-        args.method,
-        seed,
-        train_cfg,
-        folds=args.folds,
-        lambdas=args.lambdas,
-        rule_params=args.rule_params,
+    loss_kind, rule_kind = METHODS[args.method]
+    rule_params = default_rule_grid(args.method, train.n_labels) if args.rule_params is None else args.rule_params
+
+    def f1(split, scores, param):
+        """(micro, macro) F1 of the labels the rule at param switches on."""
+        return micro_macro_f1_rows(decide_rows(scores, DecisionRule(kind=rule_kind, param=param)), split.Q > 0.0)
+
+    model, best_lam, best_param = _select_and_fit(
+        train, [(lam, p) for lam in args.lambdas for p in rule_params], args.folds, seed, train_cfg, loss_kind,
+        lambda va, val_scores, param: f1(va, val_scores, param)[0],
     )
+    micro, macro = f1(test, predict_scores(model, test.X), best_param)
+    cell = {
+        "cell_index": 0,
+        "method": args.method,
+        "lambda": best_lam,
+        "rule_param": best_param,
+        "micro_f1": micro,
+        "macro_f1": macro,
+        "n_train": train.n_examples,
+        "n_test": test.n_examples,
+    }
     echo = {
         "train": str(args.train),
         "test": str(args.test),
         "method": args.method,
         "seed": seed,
         "folds": args.folds,
-        "lambdas": result["lambdas"],
-        "rule_params": result["rule_params"],
-        "max_epochs": train_cfg.max_epochs,
-        "learning_rate": train_cfg.learning_rate,
-        "convergence_tol": train_cfg.convergence_tol,
+        "lambdas": args.lambdas,
+        "rule_params": rule_params,
+        **_training_echo(train_cfg),
         "standardize": not args.no_standardize,
     }
-    _write_result(args.out, echo, [result["cell"]])
+    _write_result(args.out, echo, [cell])
     logger.info("multilabel run finished in %.2f s", time.monotonic() - started)
     return 0
 
@@ -410,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--out", required=True)
     p_ml.add_argument("--seed", type=int, default=None)
     p_ml.add_argument("--folds", type=int, default=5)
-    p_ml.add_argument("--lambdas", type=_floats_arg, default=None)
+    p_ml.add_argument("--lambdas", type=_floats_arg, default=LAMBDA_GRID_MULTILABEL)
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)
     p_ml.add_argument("--max-epochs", type=int, default=100, help="cap on L-BFGS iterations per fit")
     p_ml.add_argument("--learning-rate", type=float, default=1.0, help="first trial step of each fit")

@@ -6,8 +6,8 @@ of S it is Diag(s) - s s^T / |S|, i.e. the graph Laplacian of a clique on
 S scaled by 1 / |S|.  At support boundaries, where the map is not
 differentiable, the convention here is to use the Jacobian of the region
 the forward pass actually selected.  Both are Diag(w) - c w w^T, with row
-factors (w, c) from the ``*_jacobian_rows`` kernels; probability vectors
-are validated by ``simplex.check_distribution``.
+factors (w, c) from the ``*_jacobian_rows`` kernels and products from
+``jvp_rows``; probability vectors are validated by ``check_distribution``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "OpCounter",
     "softmax_jacobian_rows",
     "sparsemax_jacobian_rows",
+    "jvp_rows",
     "softmax_jacobian",
     "sparsemax_jacobian",
     "softmax_jvp",
@@ -71,13 +72,20 @@ def sparsemax_jacobian_rows(P):
     return s, 1.0 / s.sum(axis=-1, keepdims=P.ndim > 1)
 
 
+def jvp_rows(w, c, V):
+    """w * v - c <w, v> w = (Diag(w) - c w w^T) v for each row v of V, either layout; (w, c) from *_jacobian_rows."""
+    wV = w * V
+    wV -= w * (c * wV.sum(axis=-1, keepdims=True))
+    return wV
+
+
 def softmax_jacobian(p) -> np.ndarray:
     """Dense softmax Jacobian Diag(p) - p p^T at output p.
 
     Symmetric, positive semidefinite, rows summing to zero.
     """
     w, c = softmax_jacobian_rows(check_distribution(p))
-    return np.diag(w) - c * np.outer(w, w)
+    return jvp_rows(w, c, np.eye(w.size))
 
 
 def sparsemax_jacobian(support: SupportSet, dim: int) -> np.ndarray:
@@ -87,7 +95,7 @@ def sparsemax_jacobian(support: SupportSet, dim: int) -> np.ndarray:
     and column off the support is identically zero.
     """
     w, c = sparsemax_jacobian_rows(np.bincount(_check_support(support, dim), minlength=dim))
-    return np.diag(w) - c * np.outer(w, w)
+    return jvp_rows(w, c, np.eye(dim))
 
 
 def softmax_jvp(p, v) -> np.ndarray:
@@ -96,7 +104,7 @@ def softmax_jvp(p, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != p.shape:
         raise ValueError("vector length must match the probability vector")
-    return p * (v - p @ v)
+    return jvp_rows(*softmax_jacobian_rows(p), v)
 
 
 def sparsemax_jvp(support: SupportSet, v, counter: OpCounter | None = None) -> np.ndarray:

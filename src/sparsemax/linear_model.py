@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledDataset
-from .jacobians import softmax_jacobian_rows, sparsemax_jacobian_rows
+from .jacobians import jvp_rows, softmax_jacobian_rows, sparsemax_jacobian_rows
 from .losses import LOSS_KINDS, LOSS_LOGISTIC, LOSS_SPARSEMAX, loss_rows, sigmoid
 from .simplex import check_scores, softmax_rows, sparsemax_rows
 
@@ -94,14 +94,14 @@ class TrainConfig:
     convergence_tol: float = 1e-6  # on a step's change in J, times max(1, |J|); on the Newton decrement, times |J|
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError("regularization strength must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("regularization strength must be finite and nonnegative")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class DecisionRule:
 
     logistic_threshold: labels with sigmoid(z_k) > param, param in [0, 1]
     softmax_threshold:  labels with softmax_k(z) > param, param in [0, 1]
-    sparsemax_scale:    support of sparsemax(param * z), param >= 1
+    sparsemax_scale:    support of sparsemax(param * z), finite param >= 1
 
     Ties at the threshold stay off (strict comparison) and the predicted
     set may be empty.
@@ -124,30 +124,44 @@ class DecisionRule:
             if not 0.0 <= self.param <= 1.0:
                 raise ValueError(f"{self.kind} threshold must lie in [0, 1]")
         elif self.kind == RULE_SPARSEMAX_SCALE:
-            if not self.param >= 1.0:
-                raise ValueError("sparsemax_scale factor must be >= 1")
+            if not 1.0 <= self.param < math.inf:
+                raise ValueError("sparsemax_scale factor must be finite and >= 1")
         else:
             raise ValueError(f"unknown decision rule {self.kind!r}")
+
+
+def _scores(theta, XT):
+    """Scores W X^T + b at theta = [W.ravel(), b], formed label-major, (K, N), and returned as the
+    (N, K) view: row kernels reduce over its labels as K contiguous rows of N, not N rows of K."""
+    n_labels = theta.size // (len(XT) + 1)
+    scores = theta[:-n_labels].reshape(n_labels, -1).dot(XT)
+    scores += theta[-n_labels:, None]
+    return scores.T
+
+
+def _pullback(theta, R, X, lam):
+    """[lam W + R^T X / n, sum_i R_i / n], flat like theta = [W.ravel(), b]: the parameter
+    gradient of lam/2 ||W||^2 plus a mean over rows whose score derivatives are R (N, K)."""
+    n, n_labels = R.shape
+    W = theta[:-n_labels].reshape(n_labels, -1)
+    out = np.empty(theta.size)
+    np.add(lam * W, R.T.dot(X) / n, out=out[:-n_labels].reshape(W.shape))
+    np.divide(R.sum(axis=0), n, out=out[-n_labels:])
+    return out
 
 
 def _objective(theta, X, Q, lam, loss_kind):
     """J and its gradient at fit's flat parameters theta = [W.ravel(), b].
 
-    The scores are formed label-major, (K, N), and loss_rows gets their
-    (N, K) transposed view, so its reductions over the labels run over K
-    contiguous rows of N, not N rows of K.  fit lays Q out alike, once.
-    At 240 rows, 10 labels and 10 features a call takes about 52 us
-    (logistic) and 113 us (sparsemax), down from 134 and 158 (README.md).
+    fit lays Q out label-major like the scores, once.  At 240 rows, 10
+    labels and 10 features a call takes about 52 us (logistic) and 113 us
+    (sparsemax), down from 134 and 158 (README.md).
     """
     n, n_labels = Q.shape
-    n_weights = theta.size - n_labels
-    W, b = theta[:n_weights].reshape(n_labels, -1), theta[n_weights:]
-    values, grads = loss_rows((W.dot(X.T) + b[:, None]).T, Q, loss_kind)
+    values, grads = loss_rows(_scores(theta, X.T), Q, loss_kind)
+    W = theta[:-n_labels]
     value = 0.5 * lam * float((W * W).sum()) + float(values.sum() / n)
-    grad = np.empty(theta.size)
-    np.add(lam * W, grads.T.dot(X) / n, out=grad[:n_weights].reshape(W.shape))
-    np.divide(grads.sum(axis=0), n, out=grad[n_weights:])
-    return value, grad
+    return value, _pullback(theta, grads, X, lam)
 
 
 def _two_loop(grad, pairs):
@@ -174,33 +188,21 @@ def _hessian_product(theta, X, lam, loss_kind):
     With x' = [x, 1] and each row's score Hessian J_i = Diag(w_i) - c_i w_i w_i^T
     (jacobians; c = 0 for the binary loss), H = (1/n) sum_i J_i kron x'_i x'_i^T
     + lam on W.  A product maps v = [V.ravel(), v_b] to score directions
-    V X^T + v_b as _objective maps theta to scores, applies each J_i to its
-    column and maps back as _objective forms the gradient: O(N K (D + 1))
-    time, O(N K) memory, and no (P, P) array.
+    (_scores), applies each J_i to its row (jvp_rows) and maps back as the
+    gradient is formed (_pullback): O(N K (D + 1)) time, O(N K) memory, and
+    no (P, P) array.  X^T is copied once, as a contiguous product is faster.
     """
-    n, n_features = X.shape
-    n_labels = theta.size // (n_features + 1)
-    n_weights = theta.size - n_labels
-    scores = (theta[:n_weights].reshape(n_labels, n_features).dot(X.T) + theta[n_weights:, None]).T
+    XT = np.ascontiguousarray(X.T)
+    scores = _scores(theta, XT)
     if loss_kind == LOSS_LOGISTIC:
         w, c = softmax_jacobian_rows(softmax_rows(scores))
     elif loss_kind == LOSS_SPARSEMAX:
         w, c = sparsemax_jacobian_rows(sparsemax_rows(scores))
     else:
         w, c = sigmoid(scores) * sigmoid(-scores), 0.0
-    w = w.T
-    c = np.asarray(c).T
-    XT = np.ascontiguousarray(X.T)
 
     def product(v):
-        V = v[:n_weights].reshape(n_labels, n_features)
-        wU = V.dot(XT)
-        wU += v[n_weights:, None]
-        wU *= w
-        R = wU - w * (c * wU.sum(axis=0))
-        out = np.empty(v.size)
-        np.add(lam * V, R.dot(X) / n, out=out[:n_weights].reshape(V.shape))
-        np.divide(R.sum(axis=1), n, out=out[n_weights:])
+        out = _pullback(v, jvp_rows(w, c, _scores(v, XT)), X, lam)
         out += _HESSIAN_RIDGE * v
         return out
 
@@ -255,12 +257,12 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     objective J by less than cfg.convergence_tol * max(1, |J|) and the
     Newton decrement g^T H^-1 g / 2 of the exact Hessian H, an estimate of
     J - J* (Boyd & Vandenberghe 9.5), is at most cfg.convergence_tol * |J|
-    (so a zero gradient where J* = 0).  The decrement comes from conjugate
-    gradients on Hessian-vector products (_newton_decrement), and is
-    checked only when the last one, scaled by the fall of the free
-    estimate -g^T d / 2 since, would pass.  It stops unconverged, and logs
-    a warning with the gradient norm and the last decrement, after
-    cfg.max_epochs iterations or when no step decreases J.
+    (so a zero gradient where J* = 0), or at once at a zero gradient.  The
+    decrement comes from conjugate gradients on Hessian-vector products
+    (_newton_decrement), and is checked only when the last one, scaled by
+    the fall of the free estimate -g^T d / 2 since, would pass.  It stops
+    unconverged, and logs a warning with the gradient norm and the last
+    decrement, after cfg.max_epochs iterations or when no step decreases J.
 
     The default start is W = 0, b = 0, which makes the whole procedure
     deterministic; pass init=(W0, b0) to start elsewhere, e.g. from the
@@ -302,6 +304,9 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     ratio = 1.0  # that decrement over the free estimate at the same point
     unconverged = "reached max_epochs"
     while iterations < cfg.max_epochs:
+        if not grad.any():  # J is convex, so this is its minimum, and no step decreases J
+            unconverged = None
+            break
         slope = grad.dot(direction)
         if not slope < 0.0:
             pairs.clear()

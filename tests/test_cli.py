@@ -213,6 +213,12 @@ class TestLabelprop:
         assert code == 2
         assert "doc_lengths" in err
 
+    def test_non_finite_lambda_rejected(self, tmp_path, capsys, labelprop_config):
+        config = labelprop_config(lambdas=[float("nan")])
+        code, _, err = run_cli(["labelprop", "--config", str(config), "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 2
+        assert "finite" in err
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -324,6 +330,17 @@ class TestMultilabel:
         assert code == 2
         assert "max_epochs" in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        (["--lambdas", "nan"], ["--lambdas", "inf"], ["--lambdas", "0.01", "--rule-params", "inf"]),
+        ids=("lambda-nan", "lambda-inf", "scale-inf"),
+    )
+    def test_non_finite_setting_is_an_error(self, tmp_path, capsys, libsvm_pair, extra):
+        argv = self.base_argv(libsvm_pair, tmp_path / "result.json") + extra
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "finite" in err
+
     def test_test_split_with_unseen_label_and_feature_is_padded(self, tmp_path, capsys):
         # Label 3 and feature 3 occur only in the test split, so both splits
         # are padded to 3 labels and 3 features.  Rows 1 and 2 get their one
@@ -369,3 +386,30 @@ class TestMultilabel:
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
             assert run_cli(argv, capsys)[0] == 0
         assert [r.getMessage() for r in caplog.records if r.name == "sparsemax.linear_model"] == []
+
+    def test_acceptance_08_results_are_pinned(self, tmp_path, capsys):
+        # The chosen lam and rule parameter are grid values and the F1 scores
+        # ratios of label counts, so a refactor that keeps the results keeps
+        # them exactly; a change that moves them updates this pin.
+        cfg = SyntheticConfig(n_labels=6, n_train=200, n_test=200, mean_doc_length=2000.0, mixture="uniform", seed=11)
+        train, test = generate_synthetic(cfg)
+        write_libsvm_multilabel(train, tmp_path / "train.svm")
+        write_libsvm_multilabel(test, tmp_path / "test.svm")
+        expected = {
+            "logistic": (0.001, 0.45, 0.9787234042553191, 0.9785753682682432),
+            "softmax": (0.01, 1 / 6, 0.9330199764982373, 0.9322353966348048),
+            "sparsemax": (0.001, 2.0, 0.9944258639910813, 0.9944364894696021),
+        }
+        for method, pinned in expected.items():
+            out_path = tmp_path / f"{method}.json"
+            argv = [
+                "multilabel",
+                "--train", str(tmp_path / "train.svm"),
+                "--test", str(tmp_path / "test.svm"),
+                "--method", method,
+                "--out", str(out_path),
+                "--seed", "0",
+            ]
+            assert run_cli(argv, capsys)[0] == 0
+            cell = json.loads(out_path.read_text())["per_cell_results"][0]
+            assert (cell["lambda"], cell["rule_param"], cell["micro_f1"], cell["macro_f1"]) == pinned

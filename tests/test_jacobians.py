@@ -14,6 +14,8 @@ from sparsemax import (
     sparsemax_jacobian,
     sparsemax_jacobian_rows,
     sparsemax_jvp,
+    jvp_rows,
+    sigmoid,
     threshold_and_support,
 )
 from helpers import fd_jacobian, support_margin
@@ -174,3 +176,29 @@ class TestJacobianRows:
         for row, col, z in zip(w, c[:, 0], Z):
             dense = np.diag(row) - col * np.outer(row, row)
             assert np.array_equal(dense, sparsemax_jacobian(threshold_and_support(z), 6))
+
+    @pytest.mark.parametrize("order", ("C", "F"))
+    @pytest.mark.parametrize("kind", ("softmax", "sparsemax", "binary"))
+    def test_products_match_dense(self, kind, order):
+        # The three factor kinds of fit's Hessian: softmax (p, 1), sparsemax
+        # (s, 1/|S|) with c a column, and the binary loss's (sigma(1 - sigma), 0).
+        rng = np.random.default_rng(7)
+        Z = rng.normal(scale=2.0, size=(40, 6))
+        Z[0] = [3.0, 0.0, 0.0, 0.0, 0.0, 0.0]  # a singleton support
+        if kind == "softmax":
+            w, c = softmax_jacobian_rows(softmax_rows(Z))
+        elif kind == "sparsemax":
+            w, c = sparsemax_jacobian_rows(sparsemax_rows(Z))
+            assert c.shape == (40, 1)
+        else:
+            w, c = sigmoid(Z) * sigmoid(-Z), 0.0
+        w = np.asarray(w, order=order)
+        V = np.asarray(rng.normal(size=Z.shape), order=order)
+        out = jvp_rows(w, c, V)
+        assert out.shape == V.shape
+        # Every entry is w_j v_j - c w_j sum_k w_k v_k with 0 <= w, c <= 1: at
+        # most K + 2 roundings, each within eps of the largest |v|.
+        bound = (6 + 2) * np.finfo(float).eps * np.abs(V).max()
+        for row, w_row, c_row, v in zip(out, w, np.broadcast_to(c, (40, 1))[:, 0], V):
+            dense = np.diag(w_row) - c_row * np.outer(w_row, w_row)
+            np.testing.assert_allclose(row, dense @ v, rtol=0.0, atol=bound)

@@ -186,6 +186,10 @@ class TestConfigs:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(convergence_tol=0.0)
+        for name in ("lam", "learning_rate", "convergence_tol"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    TrainConfig(**{name: value})
 
     def test_decision_rule_validation(self):
         DecisionRule(RULE_LOGISTIC_THRESHOLD, 0.0)
@@ -197,6 +201,9 @@ class TestConfigs:
             DecisionRule(RULE_SOFTMAX_THRESHOLD, -0.1)
         with pytest.raises(ValueError):
             DecisionRule(RULE_SPARSEMAX_SCALE, 0.99)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DecisionRule(RULE_SPARSEMAX_SCALE, value)
         with pytest.raises(ValueError):
             DecisionRule("argmax", 0.5)
 
@@ -446,6 +453,26 @@ class TestFit:
         rule = DecisionRule(RULE_SPARSEMAX_SCALE, 1.0)
         for x, row in zip(data.X, data.Q):
             assert predict_labels(model, x, rule) == set(np.flatnonzero(row > 0))
+
+    def test_zero_gradient_stops_converged_at_once(self, monkeypatch, caplog):
+        # The first step puts every margin of this line beyond the sparse
+        # loss's kink, so J = 0 with a zero gradient.  J is convex, so that is
+        # its minimum: fit stops there, with no futile line search and no
+        # warning, after the start's evaluation and the step's.
+        calls = []
+        real_objective = linear_model._objective
+
+        def counting_objective(*args):
+            calls.append(None)
+            return real_objective(*args)
+
+        monkeypatch.setattr(linear_model, "_objective", counting_objective)
+        history = []
+        with caplog.at_level(logging.DEBUG, logger="sparsemax.linear_model"):
+            fit(separable_line(), TrainConfig(lam=0.0), LOSS_SPARSEMAX, history=history)
+        assert history == [0.25, 0.0]
+        assert len(calls) == 2
+        assert caplog.records == []
 
     def test_history_is_monotone_and_starts_at_zero_init(self):
         data = separable_line()

@@ -20,6 +20,7 @@ neither the command line nor a config file provides one.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import logging
 import os
@@ -41,7 +42,7 @@ from .linear_model import DecisionRule, TrainConfig, cross_validate, decide_rows
 from .linear_model import RULE_LOGISTIC_THRESHOLD, RULE_SOFTMAX_THRESHOLD, RULE_SPARSEMAX_SCALE
 from .losses import LOSS_BINARY_LOGISTIC, LOSS_LOGISTIC, LOSS_SPARSEMAX
 from .metrics import js_divergence_rows, micro_macro_f1_rows, mse_rows
-from .simplex import softmax, softmax_rows, sparsemax, sparsemax_rows, threshold_and_support
+from .simplex import check_scores, softmax, softmax_rows, sparsemax, sparsemax_rows, threshold_and_support
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +50,9 @@ ENV_SEED = "SPARSEMAX_SEED"
 
 LAMBDA_GRID_LABELPROP = [10.0**j for j in range(-9, 1)]
 LAMBDA_GRID_MULTILABEL = [10.0**j for j in range(-8, 3)]
+# Every fit's tolerance on a step's change in J and on the Newton decrement;
+# each fit's first trial step is TrainConfig's default of 1.
+_CONVERGENCE_TOL = 1e-7
 
 # method name -> (training loss, decision rule kind)
 METHODS = {
@@ -57,24 +61,60 @@ METHODS = {
     "sparsemax": (LOSS_SPARSEMAX, RULE_SPARSEMAX_SCALE),
 }
 
-_LABELPROP_REQUIRED = {"n_labels", "n_train", "n_test", "doc_lengths"}
-_LABELPROP_ALLOWED = _LABELPROP_REQUIRED | {
-    "mean_labels",
-    "mixtures",
-    "losses",
-    "folds",
-    "seed",
-    "lambdas",
-    "max_epochs",
-    "learning_rate",
-    "convergence_tol",
+_REQUIRED = object()
+# labelprop config key -> (kind, default).  A kind in brackets is a non-empty
+# list of that kind; a seed left out falls back as _seed says.
+_LABELPROP_KEYS = {
+    "n_labels": (int, _REQUIRED),
+    "n_train": (int, _REQUIRED),
+    "n_test": (int, _REQUIRED),
+    "doc_lengths": ([int], _REQUIRED),
+    "mean_labels": (float, 2.0),
+    "mixtures": ([str], [MIXTURE_UNIFORM]),
+    "losses": ([str], [LOSS_LOGISTIC, LOSS_SPARSEMAX]),
+    "folds": (int, 5),
+    "seed": (int, None),
+    "lambdas": ([float], LAMBDA_GRID_LABELPROP),
+    "max_epochs": (int, 200),
 }
+_KIND_NAMES = {int: "integers", float: "finite numbers", str: "strings"}
 
 
-def _env_default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
+def _checked(key: str, kind, value):
+    """value as kind (see _LABELPROP_KEYS); ValueError unless it is one.  A bool is no number, a number
+    must be finite as a float, and an integer integral."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{key} must be a non-empty list, got {value!r}")
+        return [_checked(key, kind[0], item) for item in value]
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max and (kind is float or value == int(value))
+    if not ok:
+        raise ValueError(f"{key} takes {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _labelprop_settings(config) -> dict:
+    """config's labelprop settings, each checked against _LABELPROP_KEYS, with the defaults of those left out."""
+    if not isinstance(config, dict):
+        raise ValueError("labelprop config must be a JSON object")
+    unknown = sorted(set(config) - set(_LABELPROP_KEYS))
+    missing = [key for key, (_, default) in _LABELPROP_KEYS.items() if default is _REQUIRED and key not in config]
+    if unknown or missing:
+        raise ValueError(f"unknown config keys: {unknown}" if unknown else f"missing config keys: {missing}")
+    return {
+        key: _checked(key, kind, config[key]) if key in config else copy.copy(default)
+        for key, (kind, default) in _LABELPROP_KEYS.items()
+    }
+
+
+def _seed(flag: int | None, configured: int | None = None) -> int:
+    """The run's seed: the --seed flag, then the config's, then SPARSEMAX_SEED, then 0."""
+    if flag is not None or configured is not None:
+        return flag if flag is not None else configured
+    raw = os.environ.get(ENV_SEED, "0")
     try:
         return int(raw)
     except ValueError:
@@ -89,11 +129,7 @@ def _floats_arg(text: str) -> list[float]:
 
 
 def _write_result(path, config_echo: dict, cells: list[dict]) -> None:
-    payload = {
-        "config_echo": config_echo,
-        "per_cell_results": cells,
-        "wall_time_seconds": None,
-    }
+    payload = {"config_echo": config_echo, "per_cell_results": cells, "wall_time_seconds": None}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -137,10 +173,6 @@ def default_rule_grid(method: str, n_labels: int) -> list[float]:
     raise ValueError(f"unknown method {method!r}")
 
 
-# ---------------------------------------------------------------------------
-# transform
-
-
 def cmd_transform(args) -> int:
     if args.input is None:
         text = sys.stdin.read()
@@ -152,43 +184,26 @@ def cmd_transform(args) -> int:
         if not line.strip():
             continue
         try:
-            rows.append((lineno, np.array([float(tok) for tok in line.split()])))
-        except ValueError:
-            print(f"line {lineno}: could not parse score row {line!r}", file=sys.stderr)
+            rows.append(check_scores([float(tok) for tok in line.split()]))
+        except ValueError as exc:
+            print(f"line {lineno}: bad score row {line!r}: {exc}", file=sys.stderr)
             return 2
-    if args.format == "csv" and rows:
-        print("row,tau,support,softmax,sparsemax")
-    for i, (_, z) in enumerate(rows):
+    for i, z in enumerate(rows):
         support = threshold_and_support(z)
-        p_soft = softmax(z)
-        p_sparse = sparsemax(z)
+        record = {
+            "row": i,
+            "tau": support.tau,
+            "support": support.indices.tolist(),
+            "softmax": softmax(z).tolist(),
+            "sparsemax": sparsemax(z).tolist(),
+        }
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "row": i,
-                        "softmax": p_soft.tolist(),
-                        "sparsemax": p_sparse.tolist(),
-                        "support": support.indices.tolist(),
-                        "tau": support.tau,
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            cols = [
-                str(i),
-                repr(support.tau),
-                " ".join(str(j) for j in support.indices.tolist()),
-                " ".join(repr(v) for v in p_soft.tolist()),
-                " ".join(repr(v) for v in p_sparse.tolist()),
-            ]
-            print(",".join(cols))
+            print(json.dumps(record, sort_keys=True))
+            continue
+        if i == 0:
+            print(",".join(record))
+        print(",".join(" ".join(map(repr, v)) if isinstance(v, list) else repr(v) for v in record.values()))
     return 0
-
-
-# ---------------------------------------------------------------------------
-# labelprop
 
 
 def _cell_seed(seed: int, mixture_index: int, length_index: int) -> int:
@@ -197,45 +212,21 @@ def _cell_seed(seed: int, mixture_index: int, length_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_labelprop(config: dict, seed: int) -> dict:
-    unknown = set(config) - _LABELPROP_ALLOWED
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = _LABELPROP_REQUIRED - set(config)
-    if missing:
-        raise ValueError(f"missing config keys: {sorted(missing)}")
-    mixtures = config.get("mixtures", [MIXTURE_UNIFORM])
-    losses = config.get("losses", [LOSS_LOGISTIC, LOSS_SPARSEMAX])
-    for loss in losses:
+def run_labelprop(config: dict, seed: int | None = None) -> dict:
+    """The sweep config describes (keys and defaults in _LABELPROP_KEYS): {"config_echo", "per_cell_results"}.
+
+    seed, when given, takes the place of the config's seed."""
+    settings = _labelprop_settings(config)
+    for loss in settings["losses"]:
         if loss not in (LOSS_LOGISTIC, LOSS_SPARSEMAX):
             raise ValueError(f"labelprop supports logistic and sparsemax losses, got {loss!r}")
-    doc_lengths = config["doc_lengths"]
-    if not doc_lengths or not mixtures or not losses:
-        raise ValueError("doc_lengths, mixtures and losses must be non-empty")
-    folds = int(config.get("folds", 5))
-    lambdas = [float(v) for v in config.get("lambdas", LAMBDA_GRID_LABELPROP)]
-    train_cfg = TrainConfig(
-        max_epochs=int(config.get("max_epochs", 200)),
-        learning_rate=float(config.get("learning_rate", 1.0)),
-        convergence_tol=float(config.get("convergence_tol", 1e-7)),
-    )
-    echo = {
-        "n_labels": int(config["n_labels"]),
-        "n_train": int(config["n_train"]),
-        "n_test": int(config["n_test"]),
-        "mean_labels": float(config.get("mean_labels", 2.0)),
-        "doc_lengths": [int(v) for v in doc_lengths],
-        "mixtures": list(mixtures),
-        "losses": list(losses),
-        "folds": folds,
-        "seed": seed,
-        "lambdas": lambdas,
-        **_training_echo(train_cfg),
-    }
+    seed = _seed(seed, settings["seed"])
+    train_cfg = TrainConfig(max_epochs=settings["max_epochs"], convergence_tol=_CONVERGENCE_TOL)
+    echo = {**settings, "seed": seed, **_training_echo(train_cfg)}
     cells = []
     cell_index = 0
-    for mi, mixture in enumerate(mixtures):
-        for li, length in enumerate(doc_lengths):
+    for mi, mixture in enumerate(echo["mixtures"]):
+        for li, length in enumerate(echo["doc_lengths"]):
             data_cfg = SyntheticConfig(
                 n_labels=echo["n_labels"],
                 n_train=echo["n_train"],
@@ -247,11 +238,11 @@ def run_labelprop(config: dict, seed: int) -> dict:
             )
             train, test = generate_synthetic(data_cfg)
             train, test, _, _ = standardize_features(train, test)
-            for loss in losses:
+            for loss in echo["losses"]:
                 proportions = sparsemax_rows if loss == LOSS_SPARSEMAX else softmax_rows
 
                 model, best_lam, _ = _select_and_fit(
-                    train, [(lam, None) for lam in lambdas], folds, data_cfg.seed, train_cfg, loss,
+                    train, [(lam, None) for lam in echo["lambdas"]], echo["folds"], data_cfg.seed, train_cfg, loss,
                     lambda va, val_scores, _: -float(js_divergence_rows(va.Q, proportions(val_scores)).mean()),
                 )
                 predicted = proportions(predict_scores(model, test.X))
@@ -259,7 +250,7 @@ def run_labelprop(config: dict, seed: int) -> dict:
                     {
                         "cell_index": cell_index,
                         "mixture": mixture,
-                        "doc_length": int(length),
+                        "doc_length": length,
                         "loss": loss,
                         "lambda": float(best_lam),
                         "mse": float(mse_rows(test.Q, predicted).mean()),
@@ -276,27 +267,13 @@ def cmd_labelprop(args) -> int:
     started = time.monotonic()
     with open(args.config) as fh:
         config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("labelprop config must be a JSON object")
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in config:
-        seed = int(config["seed"])
-    else:
-        seed = _env_default_seed()
-    result = run_labelprop(config, seed)
+    result = run_labelprop(config, args.seed)
     _write_result(args.out, result["config_echo"], result["per_cell_results"])
     logger.info("labelprop sweep finished in %.2f s", time.monotonic() - started)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# multilabel
-
-
 def _pad_dataset(ds: LabeledDataset, n_labels: int, n_features: int) -> LabeledDataset:
-    if ds.n_labels == n_labels and ds.n_features == n_features:
-        return ds
     X = np.zeros((ds.n_examples, n_features))
     X[:, : ds.n_features] = ds.X
     Q = np.zeros((ds.n_examples, n_labels))
@@ -306,8 +283,8 @@ def _pad_dataset(ds: LabeledDataset, n_labels: int, n_features: int) -> LabeledD
 
 def cmd_multilabel(args) -> int:
     started = time.monotonic()
-    seed = args.seed if args.seed is not None else _env_default_seed()
-    train_cfg = TrainConfig(max_epochs=args.max_epochs, learning_rate=args.learning_rate, convergence_tol=args.tol)
+    seed = _seed(args.seed)
+    train_cfg = TrainConfig(max_epochs=args.max_epochs, convergence_tol=_CONVERGENCE_TOL)
     train = read_libsvm_multilabel(args.train)
     test = read_libsvm_multilabel(args.test)
     n_labels = max(train.n_labels, test.n_labels)
@@ -354,9 +331,6 @@ def cmd_multilabel(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsemax")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -382,8 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--lambdas", type=_floats_arg, default=LAMBDA_GRID_MULTILABEL)
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)
     p_ml.add_argument("--max-epochs", type=int, default=100, help="cap on L-BFGS iterations per fit")
-    p_ml.add_argument("--learning-rate", type=float, default=1.0, help="first trial step of each fit")
-    p_ml.add_argument("--tol", type=float, default=1e-7, help="a fit's tolerance on step change and Newton decrement")
     p_ml.add_argument("--no-standardize", action="store_true")
     p_ml.set_defaults(func=cmd_multilabel)
     return parser
@@ -392,9 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not logging.getLogger().handlers:
-        logging.basicConfig(
-            level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
-        )
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,13 +1,17 @@
 import io
 import json
 import logging
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsemax import SyntheticConfig, generate_synthetic, write_libsvm_multilabel
-from sparsemax.cli import default_rule_grid, main
+from sparsemax.cli import _LABELPROP_KEYS, default_rule_grid, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -87,12 +91,15 @@ class TestTransform:
         assert code == 0 and out == ""
 
     def test_bad_row_reports_line_number(self, capsys, monkeypatch):
-        code, out, err = run_cli(
-            ["transform"], capsys, monkeypatch, stdin_text="1 2\nspam eggs\n"
-        )
-        assert code == 2
-        assert "line 2" in err
-        assert out == ""
+        # A row of non-finite scores is rejected as it is read, like one that
+        # does not parse, so no row before it is printed.
+        for bad in ("spam eggs", "inf 0", "0 nan"):
+            code, out, err = run_cli(
+                ["transform"], capsys, monkeypatch, stdin_text=f"1 2\n{bad}\n"
+            )
+            assert code == 2
+            assert "line 2" in err and "Traceback" not in err
+            assert out == ""
 
 
 @pytest.fixture
@@ -218,6 +225,33 @@ class TestLabelprop:
         code, _, err = run_cli(["labelprop", "--config", str(config), "--out", str(tmp_path / "r.json")], capsys)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_epochs", float("inf")),
+            ("n_labels", float("inf")),
+            ("doc_lengths", [float("inf")]),
+            ("doc_lengths", 50),
+            ("n_labels", True),
+            ("doc_lengths", [50.5]),
+            ("folds", 2.9),
+            ("seed", 1.7),
+            ("mean_labels", 10**400),
+        ],
+        ids=["max_epochs-inf", "n_labels-inf", "doc_length-inf", "doc_lengths-not-a-list", "n_labels-true",
+             "doc_length-fraction", "folds-fraction", "seed-fraction", "mean_labels-overflow"],
+    )
+    def test_malformed_value_is_an_error(self, tmp_path, capsys, labelprop_config, key, value):
+        # Each used to end in a traceback or be truncated silently: int(inf)
+        # and float(10**400) raised OverflowError, int(True) read 1, and 50.5
+        # documents ran as 50.
+        config = labelprop_config(**{key: value})
+        out_path = tmp_path / "r.json"
+        code, _, err = run_cli(["labelprop", "--config", str(config), "--out", str(out_path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+        assert not out_path.exists()
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -413,3 +447,44 @@ class TestMultilabel:
             assert run_cli(argv, capsys)[0] == 0
             cell = json.loads(out_path.read_text())["per_cell_results"][0]
             assert (cell["lambda"], cell["rule_param"], cell["micro_f1"], cell["macro_f1"]) == pinned
+
+
+def test_training_settings_are_fixed(tmp_path, capsys, labelprop_config, libsvm_pair):
+    # Every fit takes TrainConfig's first trial step (1.0) and the tolerance
+    # 1e-7, and echoes both; neither command lets a run set them.
+    train_path, test_path = libsvm_pair
+    multilabel = ["multilabel", "--train", train_path, "--test", test_path, "--method", "sparsemax",
+                  "--folds", "2", "--max-epochs", "60", "--lambdas", "0.01", "--rule-params", "1.0"]
+    runs = {
+        "labelprop": ["labelprop", "--config", str(labelprop_config()), "--out", str(tmp_path / "lp.json")],
+        "multilabel": multilabel + ["--out", str(tmp_path / "ml.json")],
+    }
+    for name, argv in runs.items():
+        assert run_cli(argv, capsys)[0] == 0
+        echo = json.loads(Path(argv[-1]).read_text())["config_echo"]
+        assert (echo["learning_rate"], echo["convergence_tol"]) == (1.0, 1e-07), name
+    for key in ("learning_rate", "convergence_tol"):
+        config = labelprop_config(**{key: 1.0})
+        code, _, err = run_cli(["labelprop", "--config", str(config), "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 2 and f"unknown config keys: ['{key}']" in err
+    for flag in ("--tol", "--learning-rate"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(runs["multilabel"] + [flag, "1.0"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_command_line_lists_every_setting(capsys):
+    # The "Command line" section of README.md names each labelprop config key
+    # and each multilabel flag, and none that the program no longer takes.
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    section = section[: section.index("\n## ", 1)]
+    keys = set(re.findall(r"`([a-z_]+)`", section))
+    flags = set(re.findall(r"--[a-z-]+", section))
+    with pytest.raises(SystemExit):
+        main(["multilabel", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"} <= flags
+    assert set(_LABELPROP_KEYS) <= keys
+    assert {"learning_rate", "convergence_tol"}.isdisjoint(keys)
+    assert {"--tol", "--learning-rate"}.isdisjoint(flags)

@@ -31,7 +31,6 @@ from dataclasses import replace
 import numpy as np
 
 from .datasets import (
-    MIXTURE_UNIFORM,
     LabeledDataset,
     SyntheticConfig,
     generate_synthetic,
@@ -50,9 +49,6 @@ ENV_SEED = "SPARSEMAX_SEED"
 
 LAMBDA_GRID_LABELPROP = [10.0**j for j in range(-9, 1)]
 LAMBDA_GRID_MULTILABEL = [10.0**j for j in range(-8, 3)]
-# Every fit's tolerance on a step's change in J and on the Newton decrement;
-# each fit's first trial step is TrainConfig's default of 1.
-_CONVERGENCE_TOL = 1e-7
 
 # method name -> (training loss, decision rule kind)
 METHODS = {
@@ -69,8 +65,8 @@ _LABELPROP_KEYS = {
     "n_train": (int, _REQUIRED),
     "n_test": (int, _REQUIRED),
     "doc_lengths": ([int], _REQUIRED),
-    "mean_labels": (float, 2.0),
-    "mixtures": ([str], [MIXTURE_UNIFORM]),
+    "mean_labels": (float, SyntheticConfig.mean_labels),
+    "mixtures": ([str], [SyntheticConfig.mixture]),
     "losses": ([str], [LOSS_LOGISTIC, LOSS_SPARSEMAX]),
     "folds": (int, 5),
     "seed": (int, None),
@@ -221,7 +217,7 @@ def run_labelprop(config: dict, seed: int | None = None) -> dict:
         if loss not in (LOSS_LOGISTIC, LOSS_SPARSEMAX):
             raise ValueError(f"labelprop supports logistic and sparsemax losses, got {loss!r}")
     seed = _seed(seed, settings["seed"])
-    train_cfg = TrainConfig(max_epochs=settings["max_epochs"], convergence_tol=_CONVERGENCE_TOL)
+    train_cfg = TrainConfig(max_epochs=settings["max_epochs"])
     echo = {**settings, "seed": seed, **_training_echo(train_cfg)}
     cells = []
     cell_index = 0
@@ -237,7 +233,7 @@ def run_labelprop(config: dict, seed: int | None = None) -> dict:
                 seed=_cell_seed(seed, mi, li),
             )
             train, test = generate_synthetic(data_cfg)
-            train, test, _, _ = standardize_features(train, test)
+            train, test = standardize_features(train, test)
             for loss in echo["losses"]:
                 proportions = sparsemax_rows if loss == LOSS_SPARSEMAX else softmax_rows
 
@@ -284,7 +280,7 @@ def _pad_dataset(ds: LabeledDataset, n_labels: int, n_features: int) -> LabeledD
 def cmd_multilabel(args) -> int:
     started = time.monotonic()
     seed = _seed(args.seed)
-    train_cfg = TrainConfig(max_epochs=args.max_epochs, convergence_tol=_CONVERGENCE_TOL)
+    train_cfg = TrainConfig(max_epochs=args.max_epochs)
     train = read_libsvm_multilabel(args.train)
     test = read_libsvm_multilabel(args.test)
     n_labels = max(train.n_labels, test.n_labels)
@@ -292,7 +288,7 @@ def cmd_multilabel(args) -> int:
     train = _pad_dataset(train, n_labels, n_features)
     test = _pad_dataset(test, n_labels, n_features)
     if not args.no_standardize:
-        train, test, _, _ = standardize_features(train, test)
+        train, test = standardize_features(train, test)
     loss_kind, rule_kind = METHODS[args.method]
     rule_params = default_rule_grid(args.method, train.n_labels) if args.rule_params is None else args.rule_params
 
@@ -355,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--folds", type=int, default=5)
     p_ml.add_argument("--lambdas", type=_floats_arg, default=LAMBDA_GRID_MULTILABEL)
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)
-    p_ml.add_argument("--max-epochs", type=int, default=100, help="cap on L-BFGS iterations per fit")
+    p_ml.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs, help="cap on L-BFGS iterations per fit")
     p_ml.add_argument("--no-standardize", action="store_true")
     p_ml.set_defaults(func=cmd_multilabel)
     return parser

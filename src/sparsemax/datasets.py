@@ -10,6 +10,7 @@ label and feature indices on disk and 0-based indices in memory.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,35 @@ __all__ = [
 MIXTURE_UNIFORM = "uniform"
 MIXTURE_DIRICHLET = "random_dirichlet"
 _MIXTURES = (MIXTURE_UNIFORM, MIXTURE_DIRICHLET)
+
+
+def _poisson_mass_reaches(target: float, mean: float, n_max: int) -> bool:
+    """Whether Poisson(mean) puts at least target on 1..n_max.
+
+    Up to a mean of 1e12 the terms are summed from the largest, at the mode
+    clipped into 1..n_max, outward by the larger next term.  The first comes
+    from log space: exp(-mean) underflows from 746.  Each side's terms fall by
+    ratios r that shrink outward, so once both r < 1 a side's rest is at most
+    t r / (1 - r), t its last term; the sum stops within about 2,500 terms.
+    Past 1e12 the log-space term loses its digits, and the normal
+    approximation decides, within 5e-7 (Berry-Esseen).
+    """
+    if mean > 1e12:
+        return 0.5 * math.erfc((mean - n_max - 0.5) / math.sqrt(2.0 * mean)) >= target
+    up = down = min(max(int(mean), 1), n_max)
+    t_up = t_down = total = math.exp(up * math.log(mean) - mean - math.lgamma(up + 1))
+    while total < target:
+        r_up = mean / (up + 1) if up < n_max else 0.0
+        r_down = down / mean if down > 1 else 0.0
+        if max(r_up, r_down) < 1.0 and total + t_up * r_up / (1.0 - r_up) + t_down * r_down / (1.0 - r_down) < target:
+            return False
+        if t_up * r_up >= t_down * r_down:
+            up, t_up = up + 1, t_up * r_up
+            total += t_up
+        else:
+            down, t_down = down - 1, t_down * r_down
+            total += t_down
+    return True
 
 
 @dataclass(frozen=True)
@@ -55,16 +85,11 @@ class SyntheticConfig:
             raise ValueError("need at least two labels")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("train and test sizes must be positive")
-        if not (self.mean_doc_length > 0 and self.mean_labels > 0):
-            raise ValueError("Poisson means must be positive")
+        if not (0 < self.mean_doc_length < math.inf and 0 < self.mean_labels < math.inf):
+            raise ValueError("Poisson means must be finite and positive")
         # The label-count sampler rejects Poisson draws outside 1..n_labels,
         # so a mean that puts almost no mass there would loop nearly forever.
-        term = np.exp(-self.mean_labels)
-        mass = 0.0
-        for n in range(1, self.n_labels + 1):
-            term *= self.mean_labels / n
-            mass += term
-        if mass < 1e-3:
+        if not _poisson_mass_reaches(1e-3, self.mean_labels, self.n_labels):
             raise ValueError(
                 f"mean_labels={self.mean_labels} puts almost no Poisson mass on 1..{self.n_labels}"
             )
@@ -110,7 +135,6 @@ class LabeledDataset:
         return self.Q.shape[1]
 
     def subset(self, indices) -> "LabeledDataset":
-        indices = np.asarray(indices)
         return LabeledDataset(X=self.X[indices], Q=self.Q[indices])
 
 
@@ -172,6 +196,8 @@ def _parse_line(line: str, lineno: int, path: str):
                 raise ValueError(f"{path}:{lineno}: bad label token {tok!r}") from None
             if lab < 1:
                 raise ValueError(f"{path}:{lineno}: labels are 1-based, got {lab}")
+            if lab - 1 in labels:
+                raise ValueError(f"{path}:{lineno}: repeated label {lab}")
             labels.append(lab - 1)
     features = []
     for tok in feature_tokens:
@@ -197,8 +223,6 @@ def read_libsvm_multilabel(path) -> LabeledDataset:
     """
     rows = []
     n_dropped = 0
-    max_label = -1
-    max_feature = -1
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -208,16 +232,13 @@ def read_libsvm_multilabel(path) -> LabeledDataset:
             if not labels:
                 n_dropped += 1
                 continue
-            max_label = max(max_label, max(labels))
-            if features:
-                max_feature = max(max_feature, max(idx for idx, _ in features))
             rows.append((labels, features))
     if n_dropped:
         logger.warning("dropped %d line(s) without labels from %s", n_dropped, path)
     if not rows:
         raise ValueError(f"{path}: no labeled examples")
-    X = np.zeros((len(rows), max_feature + 1))
-    Q = np.zeros((len(rows), max_label + 1))
+    X = np.zeros((len(rows), 1 + max((idx for _, features in rows for idx, _ in features), default=-1)))
+    Q = np.zeros((len(rows), 1 + max(max(labels) for labels, _ in rows)))
     for i, (labels, features) in enumerate(rows):
         Q[i, labels] = 1.0 / len(labels)
         for idx, val in features:
@@ -246,7 +267,7 @@ def standardize_features(train: LabeledDataset, test: LabeledDataset):
 
     Statistics come from the training split only and are applied to both.
     Near-constant columns (std below 1e-12) are centered but not divided.
-    Returns new datasets plus the training means and stds that were used.
+    Returns the new (train, test) pair.
     """
     if train.n_features != test.n_features:
         raise ValueError("train and test feature dimensions differ")
@@ -255,4 +276,4 @@ def standardize_features(train: LabeledDataset, test: LabeledDataset):
     scale = np.where(stds < 1e-12, 1.0, stds)
     new_train = LabeledDataset(X=(train.X - means) / scale, Q=train.Q)
     new_test = LabeledDataset(X=(test.X - means) / scale, Q=test.Q)
-    return new_train, new_test, means, stds
+    return new_train, new_test

@@ -43,17 +43,14 @@ class OpCounter:
 def _check_support(support: SupportSet, dim: int) -> np.ndarray:
     """support.indices, in O(|S|); ValueError unless they are a valid support.
 
-    Valid means strictly ascending integers in [0, dim), at least one, and
-    as many as support.k.  A repeated index would be counted twice in the
-    support mean.
+    Valid means strictly ascending integers in [0, dim), at least one.  A
+    repeated index would be counted twice in the support mean.
     """
     idx = np.asarray(support.indices)
     if idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ValueError("support indices must be a one-dimensional integer array")
     if idx.size == 0:
         raise ValueError("support must contain at least one index")
-    if support.k != idx.size:
-        raise ValueError(f"support size k = {support.k} does not match {idx.size} indices")
     if np.any(idx[1:] <= idx[:-1]):
         raise ValueError("support indices must be strictly ascending")
     if idx[0] < 0 or idx[-1] >= dim:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .datasets import LabeledDataset
 from .jacobians import jvp_rows, softmax_jacobian_rows, sparsemax_jacobian_rows
-from .losses import LOSS_KINDS, LOSS_LOGISTIC, LOSS_SPARSEMAX, loss_rows, sigmoid
+from .losses import LOSS_LOGISTIC, LOSS_SPARSEMAX, loss_rows, sigmoid
 from .simplex import check_scores, softmax_rows, sparsemax_rows
 
 __all__ = [
@@ -67,23 +67,12 @@ logger = logging.getLogger(__name__)
 class LinearModel:
     W: np.ndarray  # (K, D)
     b: np.ndarray  # (K,)
-    loss_kind: str
 
     def __post_init__(self) -> None:
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
             raise ValueError("W must be (K, D) and b must be (K,)")
         if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))):
             raise ValueError("model parameters must be finite")
-
-    @property
-    def n_labels(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.W.shape[1]
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,7 @@ class TrainConfig:
     lam: float = 0.0  # weight of the penalty lam/2 * ||W||_F^2
     max_epochs: int = 100  # cap on the L-BFGS iterations
     learning_rate: float = 1.0  # the first iteration's trial step; later ones try 1
-    convergence_tol: float = 1e-6  # on a step's change in J, times max(1, |J|); on the Newton decrement, times |J|
+    convergence_tol: float = 1e-7  # on a step's change in J, times max(1, |J|); on the Newton decrement, times |J|
 
     def __post_init__(self) -> None:
         if not 0 <= self.lam < math.inf:
@@ -153,9 +142,7 @@ def _pullback(theta, R, X, lam):
 def _objective(theta, X, Q, lam, loss_kind):
     """J and its gradient at fit's flat parameters theta = [W.ravel(), b].
 
-    fit lays Q out label-major like the scores, once.  At 240 rows, 10
-    labels and 10 features a call takes about 52 us (logistic) and 113 us
-    (sparsemax), down from 134 and 158 (README.md).
+    fit lays Q out label-major like the scores, once (README.md, Row kernels).
     """
     n, n_labels = Q.shape
     values, grads = loss_rows(_scores(theta, X.T), Q, loss_kind)
@@ -217,11 +204,7 @@ def _newton_decrement(theta, grad, X, lam, loss_kind, tol, target):
     so the sum rises to the decrement.  It returns once the sum exceeds
     target (the stop fails whatever the rest adds), once a step adds at
     most tol times the sum, or after theta.size steps, where CG ends in
-    exact arithmetic.  On the 655 checks of half the labelprop sweep (the
-    200- and 2000-word cells) at tol 1e-6, the second rule returned at
-    least 0.99998 of a dense solve's decrement, after a median of 28
-    (softmax) and 32 (sparsemax) steps of 110; a failing check returned
-    after a median of 2.
+    exact arithmetic (README.md, Stopping rule).
     """
     product = _hessian_product(theta, X, lam, loss_kind)
     r = grad.copy()
@@ -277,8 +260,6 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     per conjugate-gradient step, with O(N K + P) memory for P = K (D + 1)
     parameters.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
     n_labels, n_features = data.n_labels, data.n_features
     if init is None:
         W = np.zeros((n_labels, n_features))
@@ -288,7 +269,6 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         if W.shape != (n_labels, n_features) or b.shape != (n_labels,):
             raise ValueError("init shapes do not match the data dimensions")
     X, Q = data.X, np.ascontiguousarray(data.Q.T).T
-    n_weights = W.size
 
     theta = np.concatenate([W.ravel(), b])
     value, grad = _objective(theta, X, Q, cfg.lam, loss_kind)
@@ -350,15 +330,15 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     # The model gets arrays of its own, not views of the search's last
     # vector: a process holding three labelprop sweeps' models peaked
     # 0.15 MB lower (2 of 2 runs).
-    W = theta[:n_weights].reshape(n_labels, n_features).copy()
-    return LinearModel(W=W, b=theta[n_weights:].copy(), loss_kind=loss_kind)
+    W = theta[:-n_labels].reshape(n_labels, n_features).copy()
+    return LinearModel(W=W, b=theta[-n_labels:].copy())
 
 
 def predict_scores(model: LinearModel, X) -> np.ndarray:
     """Label scores X W^T + b: (K,) for one feature vector, (N, K) for rows (N, D)."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim not in (1, 2) or X.shape[-1] != model.n_features:
-        raise ValueError(f"expected feature vectors of length {model.n_features}")
+    if X.ndim not in (1, 2) or X.shape[-1] != model.W.shape[1]:
+        raise ValueError(f"expected feature vectors of length {model.W.shape[1]}")
     return X @ model.W.T + model.b
 
 
@@ -406,8 +386,6 @@ def cross_validate(data: LabeledDataset, grid, folds: int, evaluate, seed: int =
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.n_examples)
     parts = np.array_split(order, folds)
-    if any(part.size == 0 for part in parts):
-        raise ValueError("fold assignment produced an empty fold")
     splits = []
     for i, part in enumerate(parts):
         rest = np.concatenate([p for j, p in enumerate(parts) if j != i])

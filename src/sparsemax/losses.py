@@ -9,11 +9,10 @@ one-hot vector.
 Every loss formula lives once, in :func:`loss_rows`, which evaluates a
 whole batch of score rows against their targets in either memory layout.
 The training objective of ``linear_model`` calls it directly, on the
-transposed view of label-major scores and targets: at 240 rows and 10
-labels a call takes about 32 us for the logistic loss and 102 us for the
-sparse one (README.md).  The 1-D functions validate one score vector
-and target with ``simplex`` and call it on that row.  Softmax, the
-sparsemax threshold and the projection come from ``simplex``.
+transposed view of label-major scores and targets.  The 1-D functions
+validate one score vector and target with ``simplex`` and call it on
+that row.  Softmax, the sparsemax threshold and the projection come from
+``simplex``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "LOSS_LOGISTIC",
     "LOSS_SPARSEMAX",
     "LOSS_BINARY_LOGISTIC",
-    "LOSS_KINDS",
     "LossValue",
     "delta_distribution",
     "loss_rows",
@@ -42,7 +40,6 @@ __all__ = [
 LOSS_LOGISTIC = "logistic"
 LOSS_SPARSEMAX = "sparsemax"
 LOSS_BINARY_LOGISTIC = "independent-binary-logistic"
-LOSS_KINDS = (LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC)
 
 
 class LossValue(NamedTuple):

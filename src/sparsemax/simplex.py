@@ -18,8 +18,7 @@ The threshold search has two kernels, one per shape.  Both search only
 the candidates, the scores within 1 of the maximum.  The row kernel sorts
 each row; the 1-D kernel sorts nothing and runs Michelot's fixed point on
 the candidates.  On one row of K = 10 the row kernel takes 38 against
-11 us.  At K = 10^5 with every score in the support, ``sparsemax`` went
-from 370 to 1,888 rows/s when the 1-D kernel stopped sorting (README.md).
+11 us (README.md).
 ``check_scores`` and ``check_distribution`` validate the 1-D inputs of
 this module, ``losses`` and ``jacobians``.
 """
@@ -79,12 +78,15 @@ class SupportSet:
 
     indices : ascending positions of the coordinates with z_i > tau
     tau     : threshold subtracted by sparsemax; sum(z[indices] - tau) == 1
-    k       : support size, equal to len(indices)
+    k       : support size, the property indices.size
     """
 
     indices: np.ndarray
     tau: float
-    k: int
+
+    @property
+    def k(self) -> int:
+        return self.indices.size
 
 
 def softmax_logsumexp_rows(scores: np.ndarray):
@@ -233,8 +235,7 @@ def threshold_and_support(z) -> SupportSet:
     on = shifted > tau_shifted
     below = z[~on].max() if not on.all() else -np.inf
     tau = min(max(tau_shifted + z.max(), below), np.nextafter(z[on].min(), -np.inf))
-    indices = np.flatnonzero(on)
-    return SupportSet(indices=indices, tau=float(tau), k=indices.size)
+    return SupportSet(indices=np.flatnonzero(on), tau=float(tau))
 
 
 def sparsemax(z) -> np.ndarray:

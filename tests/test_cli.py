@@ -488,3 +488,21 @@ def test_readme_command_line_lists_every_setting(capsys):
     assert set(_LABELPROP_KEYS) <= keys
     assert {"learning_rate", "convergence_tol"}.isdisjoint(keys)
     assert {"--tol", "--learning-rate"}.isdisjoint(flags)
+
+
+def test_readme_library_example_shows_what_it_returns():
+    # Each commented line of README.md's "Library example" shows the repr of
+    # its expression's value.
+    text = README.read_text()
+    section = text[text.index("## Library example"):]
+    block = section[section.index("```python\n") + len("```python\n"):section.index("\n```\n")]
+    namespace = {}
+    shown = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            assert repr(eval(code, namespace)) == comment.strip(), code
+            shown += 1
+        else:
+            exec(line, namespace)
+    assert shown >= 3

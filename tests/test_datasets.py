@@ -1,4 +1,5 @@
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -109,6 +110,24 @@ class TestGenerator:
         with pytest.raises(ValueError, match="mass"):
             SyntheticConfig(n_labels=5, n_train=10, n_test=1, mean_doc_length=20.0, mean_labels=50.0)
 
+    def test_label_mass_check_is_quick_at_any_label_count(self):
+        # The check sums from the mode outward and stops once the answer is
+        # known, so it does not visit every count up to n_labels.
+        for n_labels in (10**7, 10**20):
+            start = time.perf_counter()
+            SyntheticConfig(n_labels=n_labels, n_train=1, n_test=1, mean_doc_length=1.0)
+            assert time.perf_counter() - start < 0.1, n_labels
+        with pytest.raises(ValueError, match="mass"):
+            SyntheticConfig(n_labels=10**20, n_train=1, n_test=1, mean_doc_length=1.0, mean_labels=1e-9)
+        # Past a mean of 1e12 the normal approximation decides.
+        SyntheticConfig(n_labels=10**20, n_train=1, n_test=1, mean_doc_length=1.0, mean_labels=1e20)
+        with pytest.raises(ValueError, match="mass"):
+            SyntheticConfig(n_labels=10**19, n_train=1, n_test=1, mean_doc_length=1.0, mean_labels=1e20)
+
+    def test_label_mass_check_does_not_underflow(self):
+        # exp(-1000) is 0.0, yet Poisson(1000) puts almost all its mass on 1..5000.
+        SyntheticConfig(n_labels=5000, n_train=1, n_test=1, mean_doc_length=1.0, mean_labels=1000.0)
+
     def test_mean_document_length(self, big_sample):
         cfg, train = big_sample
         observed = train.X.sum(axis=1).mean()
@@ -196,6 +215,12 @@ class TestLibsvmIO:
         with pytest.raises(ValueError, match="2"):
             read_libsvm_multilabel(path)
 
+    def test_repeated_label_reports_position(self, tmp_path):
+        path = tmp_path / "toy.svm"
+        path.write_text("2 1:1.0\n1,1 1:2\n")
+        with pytest.raises(ValueError, match="toy.svm:2: repeated label 1"):
+            read_libsvm_multilabel(path)
+
     def test_zero_based_labels_rejected(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0 1:1.0\n")
@@ -236,16 +261,14 @@ class TestStandardize:
         rng = np.random.default_rng(0)
         train = LabeledDataset(X=rng.normal(3, 5, size=(40, 3)), Q=np.tile([1.0, 0.0], (40, 1))[:, :2])
         test = LabeledDataset(X=rng.normal(3, 5, size=(10, 3)), Q=np.tile([1.0, 0.0], (10, 1))[:, :2])
-        new_train, new_test, means, stds = standardize_features(train, test)
+        new_train, new_test = standardize_features(train, test)
         np.testing.assert_allclose(new_train.X.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(new_train.X.std(axis=0), 1.0, atol=1e-10)
-        np.testing.assert_allclose(means, train.X.mean(axis=0))
-        np.testing.assert_allclose(stds, train.X.std(axis=0))
 
     def test_test_uses_train_statistics(self):
         train = LabeledDataset(X=np.array([[0.0], [2.0]]), Q=np.array([[1.0], [1.0]]))
         test = LabeledDataset(X=np.array([[4.0]]), Q=np.array([[1.0]]))
-        _, new_test, _, _ = standardize_features(train, test)
+        _, new_test = standardize_features(train, test)
         assert np.array_equal(new_test.X, [[3.0]])
 
     def test_constant_feature_centered_not_scaled(self):
@@ -253,14 +276,13 @@ class TestStandardize:
             X=np.array([[5.0, 1.0], [5.0, 3.0]]), Q=np.array([[1.0, 0.0], [1.0, 0.0]])
         )
         test = LabeledDataset(X=np.array([[5.0, 2.0]]), Q=np.array([[1.0, 0.0]]))
-        new_train, new_test, _, stds = standardize_features(train, test)
+        new_train, new_test = standardize_features(train, test)
         assert np.array_equal(new_train.X[:, 0], [0.0, 0.0])
-        assert stds[0] == 0.0
         assert np.array_equal(new_test.X[:, 0], [0.0])
 
     def test_targets_pass_through(self):
         train = LabeledDataset(X=np.array([[0.0], [2.0]]), Q=np.array([[1.0], [1.0]]))
         test = LabeledDataset(X=np.array([[4.0]]), Q=np.array([[1.0]]))
-        new_train, new_test, _, _ = standardize_features(train, test)
+        new_train, new_test = standardize_features(train, test)
         assert np.array_equal(new_train.Q, train.Q)
         assert np.array_equal(new_test.Q, test.Q)

@@ -96,19 +96,17 @@ class TestSparsemaxJacobian:
             sparsemax_jacobian(support, 1)
 
     @pytest.mark.parametrize(
-        "indices, k",
+        "indices",
         (
-            ([0, 0, 1], 3),  # a repeated index would count twice in the support mean
-            ([1, 0], 2),
-            ([0, 1], 3),
-            ([0, 1], 1),
-            ([0.0, 1.0], 2),
-            ([[0, 1]], 2),
+            [0, 0, 1],  # a repeated index would count twice in the support mean
+            [1, 0],
+            [0.0, 1.0],
+            [[0, 1]],
         ),
-        ids=("repeated", "descending", "k-above-size", "k-below-size", "float", "two-dim"),
+        ids=("repeated", "descending", "float", "two-dim"),
     )
-    def test_rejects_malformed_support(self, indices, k):
-        support = SupportSet(indices=np.array(indices), tau=0.0, k=k)
+    def test_rejects_malformed_support(self, indices):
+        support = SupportSet(indices=np.array(indices), tau=0.0)
         with pytest.raises(ValueError):
             sparsemax_jvp(support, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):

@@ -154,8 +154,8 @@ def objective(W, b, data, lam, loss_kind):
     return value, grad[: np.size(W)].reshape(np.shape(W)), grad[np.size(W) :]
 
 
-def objective_at(model, data, lam):
-    return objective(model.W, model.b, data, lam, model.loss_kind)
+def objective_at(model, data, lam, loss_kind):
+    return objective(model.W, model.b, data, lam, loss_kind)
 
 
 def scipy_optimum(data, lam, loss_kind):
@@ -209,13 +209,11 @@ class TestConfigs:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            LinearModel(W=np.zeros((2, 3)), b=np.zeros(3), loss_kind=LOSS_LOGISTIC)
+            LinearModel(W=np.zeros((2, 3)), b=np.zeros(3))
         with pytest.raises(ValueError):
-            LinearModel(W=np.zeros(3), b=np.zeros(3), loss_kind=LOSS_LOGISTIC)
+            LinearModel(W=np.zeros(3), b=np.zeros(3))
         with pytest.raises(ValueError):
-            LinearModel(W=np.full((2, 2), np.inf), b=np.zeros(2), loss_kind=LOSS_LOGISTIC)
-        with pytest.raises(ValueError):
-            LinearModel(W=np.zeros((2, 2)), b=np.zeros(2), loss_kind="hinge")
+            LinearModel(W=np.full((2, 2), np.inf), b=np.zeros(2))
 
 
 class TestBatchedOps:
@@ -448,7 +446,7 @@ class TestFit:
         data = separable_line()
         cfg = TrainConfig(lam=0.0, max_epochs=300, learning_rate=1.0, convergence_tol=1e-12)
         model = fit(data, cfg, LOSS_SPARSEMAX)
-        final = objective_at(model, data, 0.0)[0]
+        final = objective_at(model, data, 0.0, LOSS_SPARSEMAX)[0]
         assert final < 1e-6
         rule = DecisionRule(RULE_SPARSEMAX_SCALE, 1.0)
         for x, row in zip(data.X, data.Q):
@@ -514,7 +512,7 @@ class TestFit:
         cfg = TrainConfig(lam=lam, max_epochs=1000, convergence_tol=1e-7)
         history = []
         model = fit(data, cfg, loss_kind, history=history)
-        value, grad_W, grad_b = objective_at(model, data, lam)
+        value, grad_W, grad_b = objective_at(model, data, lam, loss_kind)
         assert len(history) - 1 < cfg.max_epochs
         assert history[-1] == value
         # Both halves of the stopping rule hold where it stopped: the last
@@ -543,43 +541,43 @@ class TestFit:
         cold_history, warm_history = [], []
         cold = fit(data, cfg, loss_kind, history=cold_history)
         warm = fit(data, cfg, loss_kind, init=(neighbour.W, neighbour.b), history=warm_history)
-        cold_value = objective_at(cold, data, cfg.lam)[0]
-        warm_value = objective_at(warm, data, cfg.lam)[0]
+        cold_value = objective_at(cold, data, cfg.lam, loss_kind)[0]
+        warm_value = objective_at(warm, data, cfg.lam, loss_kind)[0]
         assert abs(warm_value - cold_value) <= 1e-6 * abs(cold_value)
         assert len(warm_history) < len(cold_history)
 
     def test_warns_when_stopped_unconverged(self, caplog):
         data = document_problem()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
-            model = fit(data, TrainConfig(lam=1e-3, max_epochs=2), LOSS_SPARSEMAX)
+            model = fit(data, TrainConfig(lam=1e-3, max_epochs=2, convergence_tol=1e-6), LOSS_SPARSEMAX)
         (record,) = caplog.records
         assert record.levelno == logging.WARNING
         message = record.getMessage()
         for part in ("sparsemax loss", "lam 0.001", "after 2 iterations", "max_epochs", "no Newton decrement computed"):
             assert part in message
         # The message gives |grad J| at the returned model.
-        _, grad_W, grad_b = objective_at(model, data, 1e-3)
+        _, grad_W, grad_b = objective_at(model, data, 1e-3, LOSS_SPARSEMAX)
         reported = float(message.split("|grad J| ")[1].split(",")[0])
         assert reported == pytest.approx(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2)), rel=1e-2)
-        # Cut after a decrement was computed but before one passed (the first
-        # comes at iteration 20, the fit converges at 22), it reports the last,
-        # a lower bound that failed the target.
+        # Cut after a decrement was computed but before one passed (at this
+        # tolerance the first comes at iteration 20, the fit converges at
+        # 22), it reports the last, a lower bound that failed the target.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
-            model = fit(data, TrainConfig(lam=1e-3, max_epochs=21), LOSS_SPARSEMAX)
+            model = fit(data, TrainConfig(lam=1e-3, max_epochs=21, convergence_tol=1e-6), LOSS_SPARSEMAX)
         (record,) = caplog.records
         decrement = float(record.getMessage().split("last Newton decrement at least ")[1])
-        assert decrement > 1e-6 * objective_at(model, data, 1e-3)[0]
+        assert decrement > 1e-6 * objective_at(model, data, 1e-3, LOSS_SPARSEMAX)[0]
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="sparsemax.linear_model"):
-            fit(data, TrainConfig(lam=1e-3, max_epochs=500), LOSS_SPARSEMAX)
+            fit(data, TrainConfig(lam=1e-3, max_epochs=500, convergence_tol=1e-6), LOSS_SPARSEMAX)
         assert caplog.records == []
 
     def test_warm_started_path_work_stays_bounded(self, monkeypatch):
         # A warm-started lam path like the experiments' cross-validation: the
         # iterations, decrement checks and Hessian-vector products of all
         # three losses stay within 10% of the 655, 46 and 459 of the decrement
-        # stop.  fit stopped on the gradient norm took 1,280 iterations.
+        # stop at a tolerance of 1e-6.  fit stopped on the gradient norm took 1,280 iterations.
         checks = []
         products = []
 
@@ -600,7 +598,7 @@ class TestFit:
             init = None
             for lam in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
                 history = []
-                model = fit(data, TrainConfig(lam=lam, max_epochs=1000), loss_kind, init=init, history=history)
+                model = fit(data, TrainConfig(lam=lam, max_epochs=1000, convergence_tol=1e-6), loss_kind, init=init, history=history)
                 init = (model.W, model.b)
                 iterations += len(history) - 1
         assert iterations <= 720
@@ -627,7 +625,7 @@ class TestFit:
         ]
         for init in inits:
             model = fit(data, cfg, loss_kind, init=init)
-            finals.append(objective_at(model, data, cfg.lam)[0])
+            finals.append(objective_at(model, data, cfg.lam, loss_kind)[0])
         assert max(finals) - min(finals) < 1e-4
 
     def test_training_is_deterministic(self):
@@ -658,7 +656,7 @@ class TestFit:
 class TestPredict:
     def test_scores_match_naive_loops(self):
         rng = np.random.default_rng(10)
-        model = LinearModel(W=rng.normal(size=(4, 6)), b=rng.normal(size=4), loss_kind=LOSS_LOGISTIC)
+        model = LinearModel(W=rng.normal(size=(4, 6)), b=rng.normal(size=4))
         x = rng.normal(size=6)
         z = predict_scores(model, x)
         for k in range(4):
@@ -667,7 +665,7 @@ class TestPredict:
 
     def test_score_rows_match_naive_loops(self):
         rng = np.random.default_rng(10)
-        model = LinearModel(W=rng.normal(size=(4, 6)), b=rng.normal(size=4), loss_kind=LOSS_LOGISTIC)
+        model = LinearModel(W=rng.normal(size=(4, 6)), b=rng.normal(size=4))
         X = rng.normal(size=(5, 6))
         Z = predict_scores(model, X)
         assert Z.shape == (5, 4)
@@ -677,30 +675,30 @@ class TestPredict:
                 assert Z[i, k] == pytest.approx(expected, abs=1e-12)
 
     def test_scores_reject_wrong_length(self):
-        model = LinearModel(W=np.zeros((2, 3)), b=np.zeros(2), loss_kind=LOSS_LOGISTIC)
+        model = LinearModel(W=np.zeros((2, 3)), b=np.zeros(2))
         with pytest.raises(ValueError):
             predict_scores(model, np.zeros(4))
 
     def test_sparsemax_scale_support(self):
-        model = LinearModel(W=np.eye(3), b=np.zeros(3), loss_kind=LOSS_SPARSEMAX)
+        model = LinearModel(W=np.eye(3), b=np.zeros(3))
         rule = DecisionRule(RULE_SPARSEMAX_SCALE, 1.0)
         assert predict_labels(model, [2.0, 0.0, 0.0], rule) == {0}
         assert predict_labels(model, [0.0, 0.0, 0.0], rule) == {0, 1, 2}
 
     def test_logistic_threshold_is_strict(self):
-        model = LinearModel(W=np.eye(2), b=np.zeros(2), loss_kind=LOSS_BINARY_LOGISTIC)
+        model = LinearModel(W=np.eye(2), b=np.zeros(2))
         x = [0.0, 0.0]
         assert predict_labels(model, x, DecisionRule(RULE_LOGISTIC_THRESHOLD, 0.4)) == {0, 1}
         assert predict_labels(model, x, DecisionRule(RULE_LOGISTIC_THRESHOLD, 0.5)) == set()
 
     def test_softmax_threshold_can_be_empty(self):
-        model = LinearModel(W=np.eye(3), b=np.zeros(3), loss_kind=LOSS_LOGISTIC)
+        model = LinearModel(W=np.eye(3), b=np.zeros(3))
         rule = DecisionRule(RULE_SOFTMAX_THRESHOLD, 1.0 / 3.0)
         assert predict_labels(model, [0.0, 0.0, 0.0], rule) == set()
 
     def test_scale_sweep_shrinks_support(self):
         rng = np.random.default_rng(11)
-        model = LinearModel(W=np.eye(5), b=np.zeros(5), loss_kind=LOSS_SPARSEMAX)
+        model = LinearModel(W=np.eye(5), b=np.zeros(5))
         for _ in range(20):
             x = rng.normal(size=5)
             sizes = [
@@ -737,7 +735,7 @@ class TestDecideRows:
         rng = np.random.default_rng(13)
         scores = np.vstack([rng.normal(scale=2.0, size=(60, 4)), self.TIE_ROWS])
         # W = I and b = 0 make predict_scores return each row exactly.
-        model = LinearModel(W=np.eye(4), b=np.zeros(4), loss_kind=LOSS_LOGISTIC)
+        model = LinearModel(W=np.eye(4), b=np.zeros(4))
         seen_empty = seen_full = False
         for param in self.PARAMS[kind]:
             rule = DecisionRule(kind, param)

@@ -1,10 +1,11 @@
 """Regularized linear models for distribution targets.
 
 Trains W, b to minimize  lam/2 * ||W||_F^2 + mean_i L(W x_i + b; q_i)
-by full-batch L-BFGS with a backtracking line search.  The bias is never
-regularized.  Three loss kinds are supported: the multinomial
-logistic loss, its sparse analogue, and a bank of independent binary
-logistic losses (one per label, with targets q_i > 0).
+by full-batch L-BFGS with a backtracking line search, on the flat
+parameters [W b].ravel() against [X 1]; the bias is never regularized.
+Three loss kinds are supported: the multinomial logistic loss, its sparse
+analogue, and a bank of independent binary logistic losses (one per
+label, with targets q_i > 0).
 
 Set-valued prediction is done by a :class:`DecisionRule`: thresholding the
 per-label sigmoid, thresholding the softmax, or taking the support of
@@ -12,11 +13,11 @@ sparsemax applied to scaled scores.  :func:`decide_rows` applies a rule to
 a whole (N, K) score matrix; :func:`predict_labels` to one example.
 
 This module holds training, prediction and cross-validation only; models
-are not saved or loaded.  The formulas it uses
-live with their math: the loss values and gradients in
-``losses.loss_rows`` (with the ``LOSS_*`` kinds), softmax, sparsemax and
-the threshold in ``simplex``, and the sigmoid in ``losses``; the factors
-of their Jacobians, which make up fit's Hessian, in ``jacobians``.
+are not saved or loaded.  The formulas it uses live with their math: the
+loss values and gradients in ``losses.loss_rows`` (with the ``LOSS_*``
+kinds), softmax, sparsemax and the threshold in ``simplex``, and the
+sigmoid in ``losses``; the factors of their Jacobians, which make up
+fit's Hessian and its preconditioner, in ``jacobians``.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 _MAX_HALVINGS = 30
 _MEMORY = 10
 _ARMIJO_C1 = 1e-4
-# Added to the Hessian for its flat directions (the bias shift, a label outside
-# every support), so that p^T H p > 0 in conjugate gradients whatever the
-# rounding.  0 and 1e-16 to 1e-8 give the acceptance-07 sweep and the
-# acceptance-08 runs the same iterations and results; 1e-6 moves 11 iterations.
+# Added to the Hessian for its flat directions (the bias shift; at lam = 0 a label
+# outside every support, a repeated feature), so that p^T H p > 0 and every block of
+# _block_inverse inverts.  0 leaves those blocks singular; 1e-16 to 1e-6 give the
+# acceptance-07 and -08 runs the same iterations and results (1e-6: +2% products).
 _HESSIAN_RIDGE = 1e-10
 
 logger = logging.getLogger(__name__)
@@ -120,35 +121,26 @@ class DecisionRule:
 
 
 def _scores(theta, XT):
-    """Scores W X^T + b at theta = [W.ravel(), b], formed label-major, (K, N), and returned as the
-    (N, K) view: row kernels reduce over its labels as K contiguous rows of N, not N rows of K."""
-    n_labels = theta.size // (len(XT) + 1)
-    scores = theta[:-n_labels].reshape(n_labels, -1).dot(XT)
-    scores += theta[-n_labels:, None]
-    return scores.T
+    """Scores at theta = [W b].ravel(), XT = [X 1]^T: one product, label-major (K, N), returned
+    as the (N, K) view, on which row kernels reduce over K contiguous rows of N."""
+    return theta.reshape(-1, len(XT)).dot(XT).T
 
 
-def _pullback(theta, R, X, lam):
-    """[lam W + R^T X / n, sum_i R_i / n], flat like theta = [W.ravel(), b]: the parameter
-    gradient of lam/2 ||W||^2 plus a mean over rows whose score derivatives are R (N, K)."""
-    n, n_labels = R.shape
-    W = theta[:-n_labels].reshape(n_labels, -1)
-    out = np.empty(theta.size)
-    np.add(lam * W, R.T.dot(X) / n, out=out[:-n_labels].reshape(W.shape))
-    np.divide(R.sum(axis=0), n, out=out[-n_labels:])
+def _pullback(R, X, reg, theta):
+    """R^T X / n + reg * theta, X = [X 1], flat like theta: the gradient of the mean over rows
+    whose score derivatives are R (N, K), plus theta^T Diag(reg) theta / 2."""
+    out = R.T.dot(X).ravel()
+    out /= len(X)
+    out += reg * theta
     return out
 
 
-def _objective(theta, X, Q, lam, loss_kind):
-    """J and its gradient at fit's flat parameters theta = [W.ravel(), b].
-
-    fit lays Q out label-major like the scores, once (README.md, Row kernels).
-    """
-    n, n_labels = Q.shape
-    values, grads = loss_rows(_scores(theta, X.T), Q, loss_kind)
-    W = theta[:-n_labels]
-    value = 0.5 * lam * float((W * W).sum()) + float(values.sum() / n)
-    return value, _pullback(theta, grads, X, lam)
+def _objective(theta, X, XT, Q, reg, loss_kind):
+    """J and its gradient at theta; reg is lam on the weights and 0 on the bias, and Q is
+    label-major like the scores (README.md, Row kernels)."""
+    values, grads = loss_rows(_scores(theta, XT), Q, loss_kind)
+    value = 0.5 * float(reg.dot(theta * theta)) + float(values.sum() / len(X))
+    return value, _pullback(grads, X, reg, theta)
 
 
 def _two_loop(grad, pairs):
@@ -169,61 +161,70 @@ def _two_loop(grad, pairs):
     return q
 
 
-def _hessian_product(theta, X, lam, loss_kind):
-    """v -> H v + _HESSIAN_RIDGE * v, with H J's exact (generalized) Hessian at theta.
-
-    With x' = [x, 1] and each row's score Hessian J_i = Diag(w_i) - c_i w_i w_i^T
-    (jacobians; c = 0 for the binary loss), H = (1/n) sum_i J_i kron x'_i x'_i^T
-    + lam on W.  A product maps v = [V.ravel(), v_b] to score directions
-    (_scores), applies each J_i to its row (jvp_rows) and maps back as the
-    gradient is formed (_pullback): O(N K (D + 1)) time, O(N K) memory, and
-    no (P, P) array.  X^T is copied once, as a contiguous product is faster.
-    """
-    XT = np.ascontiguousarray(X.T)
+def _curvature(theta, XT, loss_kind):
+    """Row factors (w, c) of the score Hessians Diag(w) - c w w^T at theta (jacobians; c = 0 for the binary loss)."""
     scores = _scores(theta, XT)
     if loss_kind == LOSS_LOGISTIC:
-        w, c = softmax_jacobian_rows(softmax_rows(scores))
-    elif loss_kind == LOSS_SPARSEMAX:
-        w, c = sparsemax_jacobian_rows(sparsemax_rows(scores))
-    else:
-        w, c = sigmoid(scores) * sigmoid(-scores), 0.0
-
-    def product(v):
-        out = _pullback(v, jvp_rows(w, c, _scores(v, XT)), X, lam)
-        out += _HESSIAN_RIDGE * v
-        return out
-
-    return product
+        return softmax_jacobian_rows(softmax_rows(scores))
+    if loss_kind == LOSS_SPARSEMAX:
+        return sparsemax_jacobian_rows(sparsemax_rows(scores))
+    return sigmoid(scores) * sigmoid(-scores), 0.0
 
 
-def _newton_decrement(theta, grad, X, lam, loss_kind, tol, target):
-    """A lower bound on the Newton decrement g^T H^-1 g / 2 at theta, by
-    conjugate gradients on _hessian_product.
+def _hessian_product(w, c, X, XT, reg):
+    """v -> (1/n) sum_i (J_i kron x'_i x'_i^T) v + reg * v, x' = [x, 1], J_i = Diag(w_i) - c_i w_i w_i^T:
+    H v + _HESSIAN_RIDGE v for J's exact Hessian H when reg is lam on W plus the ridge; no (P, P) array."""
+    return lambda v: _pullback(jvp_rows(w, c, _scores(v, XT)), X, reg, v)
 
-    CG from 0 on H x = g adds alpha_j |r_j|^2 / 2 to g^T x / 2 at step j,
-    so the sum rises to the decrement.  It returns once the sum exceeds
-    target (the stop fails whatever the rest adds), once a step adds at
-    most tol times the sum, or after theta.size steps, where CG ends in
-    exact arithmetic (README.md, Stopping rule).
+
+def _block_inverse(w, c, XT, reg):
+    """The K diagonal blocks [X 1]^T Diag(w_k - c w_k^2) [X 1] / n + Diag(reg_k) of _hessian_product,
+    one (D + 1)^2 block per label, inverted and symmetrized; built label by label, no (K, D + 1, N) array."""
+    diag = (w - c * w * w).T
+    blocks = np.stack([(XT * d).dot(XT.T) for d in diag])
+    blocks /= diag.shape[1]
+    blocks.reshape(len(diag), -1)[:, :: len(XT) + 1] += reg.reshape(len(diag), -1)
+    inverse = np.linalg.inv(blocks)
+    return 0.5 * (inverse + inverse.transpose(0, 2, 1))
+
+
+def _newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target):
+    """A lower bound on the Newton decrement g^T H^-1 g / 2 at theta (reg as in _hessian_product).
+
+    Plain CG's first partial sum (g^T g)^2 / (2 g^T H g) fails a check above
+    target before any block is built.  Otherwise CG from 0 on H x = g,
+    preconditioned by M^-1 = _block_inverse, adds alpha_j r_j^T M^-1 r_j / 2
+    to g^T x / 2 at step j, so the sum rises to the decrement.  It returns
+    once the sum exceeds target, once a step adds at most tol times the sum,
+    or after theta.size steps (README.md, Stopping rule).
     """
-    product = _hessian_product(theta, X, lam, loss_kind)
-    r = grad.copy()
-    p = grad.copy()
-    rr = r.dot(r)
+    gg = grad.dot(grad)
+    if not gg > 0.0:
+        return 0.0
+    w, c = _curvature(theta, XT, loss_kind)
+    product = _hessian_product(w, c, X, XT, reg)
+    screen = 0.5 * gg * gg / grad.dot(product(grad))
+    if screen > target:
+        return screen
+    inverse = _block_inverse(w, c, XT, reg)
+    precondition = lambda r: np.matmul(inverse, r.reshape(len(inverse), -1, 1)).ravel()
+    r, p = grad.copy(), precondition(grad)
+    rz = r.dot(p)
     decrement = 0.0
     for _ in range(theta.size):
-        if not rr > 0.0:
+        if not rz > 0.0:
             break
         Hp = product(p)
-        alpha = rr / p.dot(Hp)
-        added = 0.5 * alpha * rr
+        alpha = rz / p.dot(Hp)
+        added = 0.5 * alpha * rz
         decrement += added
         if decrement > target or added <= tol * decrement:
             break
         r -= alpha * Hp
-        rr_next = r.dot(r)
-        p = r + (rr_next / rr) * p
-        rr = rr_next
+        z = precondition(r)
+        rz_next = r.dot(z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
     return decrement
 
 
@@ -231,19 +232,16 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     """Train a linear model by L-BFGS with a backtracking line search.
 
     Each iteration takes the two-loop L-BFGS direction d over the last
-    _MEMORY steps (Liu & Nocedal 1989), or the steepest-descent direction
-    when that is not a descent direction.  It tries a step of
-    cfg.learning_rate in the first iteration and of 1 later, halved up to
-    _MAX_HALVINGS times until the objective strictly decreases and meets
-    the Armijo condition, so accepted objective values decrease
-    monotonically.  Training stops once an accepted step changed the
-    objective J by less than cfg.convergence_tol * max(1, |J|) and the
-    Newton decrement g^T H^-1 g / 2 of the exact Hessian H, an estimate of
-    J - J* (Boyd & Vandenberghe 9.5), is at most cfg.convergence_tol * |J|
-    (so a zero gradient where J* = 0), or at once at a zero gradient.  The
-    decrement comes from conjugate gradients on Hessian-vector products
-    (_newton_decrement), and is checked only when the last one, scaled by
-    the fall of the free estimate -g^T d / 2 since, would pass.  It stops
+    _MEMORY steps (Liu & Nocedal 1989), or -g when d is not a descent
+    direction, and tries a step of cfg.learning_rate in the first iteration
+    and of 1 later, halved up to _MAX_HALVINGS times until J strictly
+    decreases and meets the Armijo condition.  Training stops once an
+    accepted step changed J by less than cfg.convergence_tol * max(1, |J|)
+    and the Newton decrement g^T H^-1 g / 2 of the exact Hessian H, an
+    estimate of J - J* (Boyd & Vandenberghe 9.5), is at most
+    cfg.convergence_tol * |J|, or at once at a zero gradient.  The decrement
+    (_newton_decrement) is checked only when the last one, scaled by the
+    fall of the free estimate -g^T d / 2 since, would pass.  It stops
     unconverged, and logs a warning with the gradient norm and the last
     decrement, after cfg.max_epochs iterations or when no step decreases J.
 
@@ -253,12 +251,11 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     objective value at the start and after every accepted iteration is
     appended to it.
 
-    Cost: one objective-and-gradient evaluation (_objective, label-major)
-    at the start and one per trial step; an accepted trial's value and
-    gradient are kept, not recomputed.  A decrement check costs one pass
-    for the Jacobian factors and one Hessian-vector product, O(N K (D + 1)),
-    per conjugate-gradient step, with O(N K + P) memory for P = K (D + 1)
-    parameters.
+    Cost: one objective and gradient, a product with [X 1] (built once) each
+    way, at the start and per trial step.  A decrement check costs the
+    Jacobian factors and one Hessian-vector product, O(N K (D + 1)); past its
+    first bound it builds and inverts the blocks, O(K (D + 1)^2 (N + D)), then
+    makes a product and a block multiply per CG step, in O(N K + K (D + 1)^2) memory.
     """
     n_labels, n_features = data.n_labels, data.n_features
     if init is None:
@@ -268,10 +265,12 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         W, b = (np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64))
         if W.shape != (n_labels, n_features) or b.shape != (n_labels,):
             raise ValueError("init shapes do not match the data dimensions")
-    X, Q = data.X, np.ascontiguousarray(data.Q.T).T
+    X = np.column_stack([data.X, np.ones(data.n_examples)])
+    XT, Q = np.ascontiguousarray(X.T), np.ascontiguousarray(data.Q.T).T
+    reg = np.tile(np.append(np.full(n_features, cfg.lam), 0.0), n_labels)
 
-    theta = np.concatenate([W.ravel(), b])
-    value, grad = _objective(theta, X, Q, cfg.lam, loss_kind)
+    theta = np.column_stack([W, b]).ravel()
+    value, grad = _objective(theta, X, XT, Q, reg, loss_kind)
     if not np.isfinite(value):
         raise FloatingPointError("objective is not finite at the starting point")
     if history is not None:
@@ -295,7 +294,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         trial = step
         for _ in range(_MAX_HALVINGS + 1):
             theta_new = theta + trial * direction
-            value_new, grad_new = _objective(theta_new, X, Q, cfg.lam, loss_kind)
+            value_new, grad_new = _objective(theta_new, X, XT, Q, reg, loss_kind)
             if math.isfinite(value_new) and value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
                 break
             trial *= 0.5
@@ -316,7 +315,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         estimate = -0.5 * grad.dot(direction)
         target = cfg.convergence_tol * abs(value)
         if change < cfg.convergence_tol and ratio * estimate <= target:
-            decrement = _newton_decrement(theta, grad, X, cfg.lam, loss_kind, cfg.convergence_tol, target)
+            decrement = _newton_decrement(theta, grad, X, XT, reg + _HESSIAN_RIDGE, loss_kind, cfg.convergence_tol, target)
             ratio = decrement / estimate if estimate > 0.0 else ratio
             if decrement <= target:
                 unconverged = None
@@ -330,8 +329,8 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     # The model gets arrays of its own, not views of the search's last
     # vector: a process holding three labelprop sweeps' models peaked
     # 0.15 MB lower (2 of 2 runs).
-    W = theta[:-n_labels].reshape(n_labels, n_features).copy()
-    return LinearModel(W=W, b=theta[-n_labels:].copy())
+    theta = theta.reshape(n_labels, -1)
+    return LinearModel(W=theta[:, :-1].copy(), b=theta[:, -1].copy())
 
 
 def predict_scores(model: LinearModel, X) -> np.ndarray:

@@ -233,8 +233,9 @@ def threshold_and_support(z) -> SupportSet:
     z = check_scores(z)
     shifted, tau_shifted = _shifted_threshold(z)
     on = shifted > tau_shifted
-    below = z[~on].max() if not on.all() else -np.inf
-    tau = min(max(tau_shifted + z.max(), below), np.nextafter(z[on].min(), -np.inf))
+    below = np.maximum.reduce(z, where=~on, initial=-np.inf)
+    lowest_on = np.minimum.reduce(z, where=on, initial=np.inf)
+    tau = min(max(tau_shifted + z.max(), below), np.nextafter(lowest_on, -np.inf))
     return SupportSet(indices=np.flatnonzero(on), tau=float(tau))
 
 

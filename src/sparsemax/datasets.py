@@ -199,7 +199,7 @@ def _parse_line(line: str, lineno: int, path: str):
             if lab - 1 in labels:
                 raise ValueError(f"{path}:{lineno}: repeated label {lab}")
             labels.append(lab - 1)
-    features = []
+    features = {}
     for tok in feature_tokens:
         idx_str, _, val_str = tok.partition(":")
         try:
@@ -209,7 +209,11 @@ def _parse_line(line: str, lineno: int, path: str):
             raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}") from None
         if idx < 1:
             raise ValueError(f"{path}:{lineno}: feature indices are 1-based, got {idx}")
-        features.append((idx - 1, val))
+        if idx - 1 in features:
+            raise ValueError(f"{path}:{lineno}: repeated feature {idx}")
+        if not math.isfinite(val):
+            raise ValueError(f"{path}:{lineno}: feature {idx} is not finite: {val_str}")
+        features[idx - 1] = val
     return labels, features
 
 
@@ -219,7 +223,8 @@ def read_libsvm_multilabel(path) -> LabeledDataset:
     Targets are uniform over each line's labels (the format stores label
     sets, not proportions).  Lines without labels are dropped and their
     count logged as a warning.  The dimensions are the highest label and
-    feature index the file mentions.
+    feature index the file mentions.  A bad token, a repeated label or
+    feature index, or a non-finite value is a ValueError naming path:line.
     """
     rows = []
     n_dropped = 0
@@ -237,11 +242,11 @@ def read_libsvm_multilabel(path) -> LabeledDataset:
         logger.warning("dropped %d line(s) without labels from %s", n_dropped, path)
     if not rows:
         raise ValueError(f"{path}: no labeled examples")
-    X = np.zeros((len(rows), 1 + max((idx for _, features in rows for idx, _ in features), default=-1)))
+    X = np.zeros((len(rows), 1 + max((idx for _, features in rows for idx in features), default=-1)))
     Q = np.zeros((len(rows), 1 + max(max(labels) for labels, _ in rows)))
     for i, (labels, features) in enumerate(rows):
         Q[i, labels] = 1.0 / len(labels)
-        for idx, val in features:
+        for idx, val in features.items():
             X[i, idx] = val
     return LabeledDataset(X=X, Q=Q)
 

@@ -55,10 +55,11 @@ RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 _MAX_HALVINGS = 30
 _MEMORY = 10
 _ARMIJO_C1 = 1e-4
-# Added to the Hessian for its flat directions (the bias shift; at lam = 0 a label
-# outside every support, a repeated feature), so that p^T H p > 0 and every block of
-# _block_inverse inverts.  0 leaves those blocks singular; 1e-16 to 1e-6 give the
-# acceptance-07 and -08 runs the same iterations and results (1e-6: +2% products).
+# Times the largest column mean square of [X 1] (1 for standardized features), added to
+# the Hessian for its flat directions (the bias shift; at lam = 0 a label outside every
+# support, a repeated feature), so that p^T H p > 0 and every block of _block_inverse
+# inverts at any feature scale.  0 leaves those blocks singular; 1e-16 to 1e-6 give the
+# acceptance-07 and -08 runs the same iterations and results (1e-6: +3% products).
 _HESSIAN_RIDGE = 1e-10
 
 logger = logging.getLogger(__name__)
@@ -173,7 +174,7 @@ def _curvature(theta, XT, loss_kind):
 
 def _hessian_product(w, c, X, XT, reg):
     """v -> (1/n) sum_i (J_i kron x'_i x'_i^T) v + reg * v, x' = [x, 1], J_i = Diag(w_i) - c_i w_i w_i^T:
-    H v + _HESSIAN_RIDGE v for J's exact Hessian H when reg is lam on W plus the ridge; no (P, P) array."""
+    H v + ridge v for J's exact Hessian H when reg is lam on W plus fit's ridge; no (P, P) array."""
     return lambda v: _pullback(jvp_rows(w, c, _scores(v, XT)), X, reg, v)
 
 
@@ -191,21 +192,14 @@ def _block_inverse(w, c, XT, reg):
 def _newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target):
     """A lower bound on the Newton decrement g^T H^-1 g / 2 at theta (reg as in _hessian_product).
 
-    Plain CG's first partial sum (g^T g)^2 / (2 g^T H g) fails a check above
-    target before any block is built.  Otherwise CG from 0 on H x = g,
-    preconditioned by M^-1 = _block_inverse, adds alpha_j r_j^T M^-1 r_j / 2
-    to g^T x / 2 at step j, so the sum rises to the decrement.  It returns
+    CG from 0 on H x = g, preconditioned by M^-1 = _block_inverse, adds
+    alpha_j r_j^T M^-1 r_j / 2 to g^T x / 2 at step j, so the sum rises to
+    the decrement; a zero gradient gives 0 before any product.  It returns
     once the sum exceeds target, once a step adds at most tol times the sum,
     or after theta.size steps (README.md, Stopping rule).
     """
-    gg = grad.dot(grad)
-    if not gg > 0.0:
-        return 0.0
     w, c = _curvature(theta, XT, loss_kind)
     product = _hessian_product(w, c, X, XT, reg)
-    screen = 0.5 * gg * gg / grad.dot(product(grad))
-    if screen > target:
-        return screen
     inverse = _block_inverse(w, c, XT, reg)
     precondition = lambda r: np.matmul(inverse, r.reshape(len(inverse), -1, 1)).ravel()
     r, p = grad.copy(), precondition(grad)
@@ -252,10 +246,10 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     appended to it.
 
     Cost: one objective and gradient, a product with [X 1] (built once) each
-    way, at the start and per trial step.  A decrement check costs the
-    Jacobian factors and one Hessian-vector product, O(N K (D + 1)); past its
-    first bound it builds and inverts the blocks, O(K (D + 1)^2 (N + D)), then
-    makes a product and a block multiply per CG step, in O(N K + K (D + 1)^2) memory.
+    way, at the start and per trial step.  A decrement check builds the
+    Jacobian factors, O(N K), and inverts the blocks, O(K (D + 1)^2 (N + D)),
+    then makes a Hessian-vector product, O(N K (D + 1)), and a block multiply
+    per CG step, in O(N K + K (D + 1)^2) memory.
     """
     n_labels, n_features = data.n_labels, data.n_features
     if init is None:
@@ -268,6 +262,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     X = np.column_stack([data.X, np.ones(data.n_examples)])
     XT, Q = np.ascontiguousarray(X.T), np.ascontiguousarray(data.Q.T).T
     reg = np.tile(np.append(np.full(n_features, cfg.lam), 0.0), n_labels)
+    ridge = _HESSIAN_RIDGE * (X * X).mean(axis=0).max()  # at least _HESSIAN_RIDGE: the bias column's is 1
 
     theta = np.column_stack([W, b]).ravel()
     value, grad = _objective(theta, X, XT, Q, reg, loss_kind)
@@ -303,7 +298,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
             break
         s, y = theta_new - theta, grad_new - grad
         sy = s.dot(y)
-        if sy > 0.0:
+        if sy > 0.0 and y.dot(y) > 0.0:  # _two_loop divides by y'y of the newest pair
             pairs.append((s, y, 1.0 / sy))
         change = abs(value - value_new) / max(1.0, abs(value))
         theta, value, grad = theta_new, value_new, grad_new
@@ -315,7 +310,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         estimate = -0.5 * grad.dot(direction)
         target = cfg.convergence_tol * abs(value)
         if change < cfg.convergence_tol and ratio * estimate <= target:
-            decrement = _newton_decrement(theta, grad, X, XT, reg + _HESSIAN_RIDGE, loss_kind, cfg.convergence_tol, target)
+            decrement = _newton_decrement(theta, grad, X, XT, reg + ridge, loss_kind, cfg.convergence_tol, target)
             ratio = decrement / estimate if estimate > 0.0 else ratio
             if decrement <= target:
                 unconverged = None

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsemax import SyntheticConfig, generate_synthetic, write_libsvm_multilabel
+from sparsemax import LabeledDataset, SyntheticConfig, generate_synthetic, write_libsvm_multilabel
 from sparsemax.cli import _LABELPROP_KEYS, default_rule_grid, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -336,6 +336,21 @@ class TestMultilabel:
         ]
         assert run_cli(argv, capsys)[0] == 0
         assert json.loads(out_path.read_text())["config_echo"]["standardize"] is False
+
+    def test_no_standardize_fits_duplicated_count_columns(self, tmp_path, capsys):
+        # Equal raw columns of counts times 1e4 at lam = 0 leave the Hessian
+        # singular but for its ridge, which must scale with the features.
+        rng = np.random.default_rng(0)
+        paths = []
+        for name, n in (("train", 40), ("test", 20)):
+            column = rng.poisson(5.0, size=n) * 1e4
+            Q = (rng.random((n, 3)) < 0.5).astype(float)
+            Q[np.arange(n), rng.integers(0, 3, size=n)] = 1.0
+            paths.append(tmp_path / f"{name}.svm")
+            write_libsvm_multilabel(LabeledDataset(X=np.column_stack([column, column]), Q=Q / Q.sum(axis=1, keepdims=True)), paths[-1])
+        argv = ["multilabel", "--train", str(paths[0]), "--test", str(paths[1]), "--method", "logistic",
+                "--no-standardize", "--lambdas", "0", "--out", str(tmp_path / "result.json")]
+        assert run_cli(argv, capsys)[0] == 0
 
     def test_missing_train_file(self, tmp_path, capsys, libsvm_pair):
         _, test_path = libsvm_pair

@@ -221,6 +221,20 @@ class TestLibsvmIO:
         with pytest.raises(ValueError, match="toy.svm:2: repeated label 1"):
             read_libsvm_multilabel(path)
 
+    def test_repeated_feature_reports_position(self, tmp_path):
+        # Neither value of a repeated index is kept silently.
+        path = tmp_path / "toy.svm"
+        path.write_text("2 1:1.0\n1 1:2 1:3\n")
+        with pytest.raises(ValueError, match="toy.svm:2: repeated feature 1"):
+            read_libsvm_multilabel(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_position(self, tmp_path, value):
+        path = tmp_path / "toy.svm"
+        path.write_text(f"2 1:1.0\n1 2:{value}\n")
+        with pytest.raises(ValueError, match=f"toy.svm:2: feature 2 is not finite: {value}"):
+            read_libsvm_multilabel(path)
+
     def test_zero_based_labels_rejected(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0 1:1.0\n")

@@ -1,8 +1,9 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from helpers import BRUTE_FORCE_MAX_DIM, brute_force_projection, fd_gradient, fd_jacobian
@@ -394,10 +395,10 @@ class TestObjective:
         assert v1 - v0 == pytest.approx(5.0 * np.sum(W * W), rel=1e-12)
 
 
-def dense_hessian(theta, data, lam, loss_kind):
+def dense_hessian(theta, data, lam, loss_kind, ridge=_HESSIAN_RIDGE):
     """The matrix of fit's Hessian-vector product, one column per unit vector."""
     X, XT, reg = design(data, lam)
-    product = _hessian_product(*_curvature(theta, XT, loss_kind), X, XT, reg + _HESSIAN_RIDGE)
+    product = _hessian_product(*_curvature(theta, XT, loss_kind), X, XT, reg + ridge)
     return np.column_stack([product(e) for e in np.eye(theta.size)])
 
 
@@ -447,6 +448,9 @@ class TestHessian:
         # Conjugate gradients sum up to g^T H^-1 g / 2 from below: with an
         # unreachable target they return it to the fit's tolerance, and with
         # a small one they stop early on a value that is already above it.
+        # That value is at most the decrement, up to rounding: for the binary
+        # loss the first preconditioned step is exact, so the early stop
+        # returns the decrement itself.
         rng = np.random.default_rng(2)
         data = random_problem(rng, n=40, d=5, k=6)
         theta = rng.normal(scale=0.5, size=6 * 6)
@@ -455,7 +459,7 @@ class TestHessian:
         exact = 0.5 * grad @ np.linalg.solve(0.5 * (H + H.T), grad)
         assert decrement == pytest.approx(exact, rel=1e-6)
         early = decrement_at(theta, data, 1e-2, loss_kind, 1e-8, 0.1 * exact)[0]
-        assert 0.1 * exact < early < exact
+        assert 0.1 * exact < early <= (1.0 + 1e-12) * exact
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_one_preconditioned_step_is_exact_for_the_binary_loss(self, loss_kind):
@@ -516,27 +520,6 @@ class TestHessian:
             X, XT, reg = design(data, lam)
             inverse = _block_inverse(*_curvature(theta, XT, loss_kind), XT, reg + _HESSIAN_RIDGE)
             np.testing.assert_allclose(inverse[4], np.eye(5) / _HESSIAN_RIDGE, rtol=1e-12)
-
-    def test_first_bound_fails_a_check_before_any_block(self, monkeypatch):
-        # Plain CG's first partial sum (g^T g)^2 / (2 g^T H g) is a lower
-        # bound for one product; above the target the check returns it.
-        rng = np.random.default_rng(2)
-        data = random_problem(rng, n=40, d=5, k=6)
-        theta = rng.normal(scale=0.5, size=6 * 6)
-        grad = flat_objective(theta, data, 1e-2, LOSS_LOGISTIC)[1]
-        Hg = dense_hessian(theta, data, 1e-2, LOSS_LOGISTIC) @ grad
-        first = 0.5 * grad.dot(grad) ** 2 / grad.dot(Hg)
-        blocks = []
-
-        def counting_blocks(*args):
-            blocks.append(None)
-            return _block_inverse(*args)
-
-        monkeypatch.setattr(linear_model, "_block_inverse", counting_blocks)
-        failed = decrement_at(theta, data, 1e-2, LOSS_LOGISTIC, 1e-8, 0.5 * first)[0]
-        assert failed == pytest.approx(first, rel=1e-12) and blocks == []
-        assert decrement_at(theta, data, 1e-2, LOSS_LOGISTIC, 1e-8, first)[0] > first
-        assert len(blocks) == 1
 
     def test_decrement_of_a_zero_gradient_is_zero(self):
         rng = np.random.default_rng(3)
@@ -680,14 +663,12 @@ class TestFit:
 
     def test_warm_started_path_work_stays_bounded(self, monkeypatch):
         # A warm-started lam path like the experiments' cross-validation, at a
-        # tolerance of 1e-6: the decrement checks, Hessian-vector products and
-        # block builds of all three losses stay within 10% of the 36, 170 and
-        # 34 of the block-preconditioned check.  Plain CG made 46 checks and
-        # 459 products.  Its 655 iterations rose to 723, all in the binary
-        # loss at lam <= 1e-3, where the preconditioned check is exact: plain
-        # CG's stop could certify a sum below the target while the decrement
-        # was above it (0.77 against 2.3 times the target at lam = 1e-6 on
-        # this layout).  fit stopped on the gradient norm took 1,280 iterations.
+        # tolerance of 1e-6, over all three losses.  Each decrement check
+        # builds one set of blocks, and the free L-BFGS estimate gates the
+        # checks, so there are few of either, and the preconditioned CG
+        # needs few products a check.
+        # The bounds are about 10% above the 725 iterations, 36 checks, 137
+        # products and 36 block builds this path takes.
         checks = []
         products = []
         blocks = []
@@ -719,8 +700,75 @@ class TestFit:
                 iterations += len(history) - 1
         assert iterations <= 795
         assert len(checks) <= 39
-        assert len(products) <= 187
-        assert len(blocks) <= 37
+        assert len(products) <= 150
+        assert len(blocks) <= 39
+
+    def test_underflowing_gradient_change_is_not_stored(self, caplog):
+        # Label 1 is on in every row, so at lam = 0 its unregularized bias runs
+        # to +inf and J decays towards 0.  About 540 iterations in, at J ~ 1e-162,
+        # a step's y = g_new - g has s^T y > 0 but y^T y rounds to 0; the two-loop
+        # scaling divides by y^T y of the newest pair, so that pair is dropped.
+        rng = np.random.default_rng(3)
+        X = 0.1 * rng.normal(size=(14, 3))
+        Q = rng.dirichlet([1.0, 1.0], size=14)
+        Q[3] = [0.0, 1.0]
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            model = fit(LabeledDataset(X=X, Q=Q), TrainConfig(lam=0.0, max_epochs=2000), LOSS_BINARY_LOGISTIC)
+        (record,) = caplog.records
+        assert "after 2000 iterations: reached max_epochs" in record.getMessage()
+        assert model.b[1] > 100.0
+
+    @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
+    def test_duplicated_raw_columns_fit_at_any_scale(self, loss_kind, caplog):
+        # Two equal unstandardized count columns at lam = 0: H is singular
+        # along their difference, and its blocks hold entries of about 3e7,
+        # below whose rounding an absolute ridge of 1e-10 would vanish.  The
+        # ridge scales with the largest column mean square of [X 1].
+        rng = np.random.default_rng(0)
+        column = rng.poisson(5.0, size=40) * 1e3
+        Q = rng.dirichlet(np.ones(3), size=40)
+        Q[np.arange(40), rng.integers(0, 3, size=40)] = 0.0
+        data = LabeledDataset(X=np.column_stack([column, column]), Q=Q / Q.sum(axis=1, keepdims=True))
+        history = []
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            model = fit(data, TrainConfig(lam=0.0), loss_kind, history=history)
+        assert caplog.records == []
+        assert history[-1] < history[0]
+        assert np.all(np.isfinite(model.W)) and np.all(np.isfinite(model.b))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(5, 40),
+        d=st.integers(1, 4),
+        k=st.integers(2, 5),
+        scale=st.sampled_from([0.1, 1.0, 3.0]),
+        lam=st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1.0]),
+        loss_kind=st.sampled_from(ALL_LOSSES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_converged_fit_is_certified_by_the_exact_decrement(self, n, d, k, scale, lam, loss_kind, seed):
+        # A fit that returns without a warning has a Newton decrement of at
+        # most the target: g^T H^+ g / 2 of the exact Hessian without the
+        # ridge, with 1% slack for the dense solve.  Targets are sparse: each
+        # row puts Dirichlet mass on about half of the labels, one at least.
+        # The check's ridge can hide a curvature below it (ROADMAP item 3):
+        # a binary fit on 5 or 6 rows whose bias saturates, about 1 in 3,600
+        # of these draws, stops above the target.
+        rng = np.random.default_rng(seed)
+        on = rng.random((n, k)) < 0.5
+        on[np.arange(n), rng.integers(0, k, size=n)] = True
+        Q = rng.dirichlet(np.ones(k), size=n) * on
+        data = LabeledDataset(X=scale * rng.normal(size=(n, d)), Q=Q / Q.sum(axis=1, keepdims=True))
+        cfg = TrainConfig(lam=lam)
+        with mock.patch.object(linear_model.logger, "warning") as warning:
+            model = fit(data, cfg, loss_kind)
+        if warning.called:
+            return
+        value, grad_W, grad_b = objective_at(model, data, lam, loss_kind)
+        grad = pack(grad_W, grad_b)
+        H = dense_hessian(pack(model.W, model.b), data, lam, loss_kind, ridge=0.0)
+        decrement = 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
+        assert decrement <= 1.01 * cfg.convergence_tol * abs(value)
 
     def test_regularization_shrinks_weights(self):
         data = separable_line()

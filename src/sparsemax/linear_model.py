@@ -52,14 +52,12 @@ RULE_LOGISTIC_THRESHOLD = "logistic_threshold"
 RULE_SOFTMAX_THRESHOLD = "softmax_threshold"
 RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 
-_MAX_HALVINGS = 30
 _MEMORY = 10
 _ARMIJO_C1 = 1e-4
-# Times the largest column mean square of [X 1] (1 for standardized features), added to
-# the Hessian for its flat directions (the bias shift; at lam = 0 a label outside every
-# support, a repeated feature), so that p^T H p > 0 and every block of _block_inverse
-# inverts at any feature scale.  0 leaves those blocks singular; 1e-16 to 1e-6 give the
-# acceptance-07 and -08 runs the same iterations and results (1e-6: +3% products).
+# Times the largest column mean square of [X 1] (at least 1, the bias column's; 1 for
+# standardized features), added to the blocks of _block_inverse only, so that each inverts at
+# any feature scale in H's flat directions (the bias shift; at lam = 0 a label outside every
+# support, a repeated feature).  1e-16 to 1e-6 give acceptance 07 and 08 the same results.
 _HESSIAN_RIDGE = 1e-10
 
 logger = logging.getLogger(__name__)
@@ -174,29 +172,31 @@ def _curvature(theta, XT, loss_kind):
 
 def _hessian_product(w, c, X, XT, reg):
     """v -> (1/n) sum_i (J_i kron x'_i x'_i^T) v + reg * v, x' = [x, 1], J_i = Diag(w_i) - c_i w_i w_i^T:
-    H v + ridge v for J's exact Hessian H when reg is lam on W plus fit's ridge; no (P, P) array."""
+    H v for J's exact Hessian H when reg is lam on W and 0 on b; no (P, P) array."""
     return lambda v: _pullback(jvp_rows(w, c, _scores(v, XT)), X, reg, v)
 
 
 def _block_inverse(w, c, XT, reg):
-    """The K diagonal blocks [X 1]^T Diag(w_k - c w_k^2) [X 1] / n + Diag(reg_k) of _hessian_product,
-    one (D + 1)^2 block per label, inverted and symmetrized; built label by label, no (K, D + 1, N) array."""
+    """The K diagonal (D + 1)^2 blocks [X 1]^T Diag(w_k - c w_k^2) [X 1] / n + Diag(reg_k) of H plus
+    the ridge, inverted and symmetrized; built label by label, no (K, D + 1, N) array."""
     diag = (w - c * w * w).T
     blocks = np.stack([(XT * d).dot(XT.T) for d in diag])
     blocks /= diag.shape[1]
-    blocks.reshape(len(diag), -1)[:, :: len(XT) + 1] += reg.reshape(len(diag), -1)
+    ridge = _HESSIAN_RIDGE * (XT * XT).mean(axis=1).max()
+    blocks.reshape(len(diag), -1)[:, :: len(XT) + 1] += reg.reshape(len(diag), -1) + ridge
     inverse = np.linalg.inv(blocks)
     return 0.5 * (inverse + inverse.transpose(0, 2, 1))
 
 
 def _newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target):
-    """A lower bound on the Newton decrement g^T H^-1 g / 2 at theta (reg as in _hessian_product).
+    """A lower bound on the Newton decrement g^T H^+ g / 2 at theta (reg as in _hessian_product).
 
     CG from 0 on H x = g, preconditioned by M^-1 = _block_inverse, adds
     alpha_j r_j^T M^-1 r_j / 2 to g^T x / 2 at step j, so the sum rises to
-    the decrement; a zero gradient gives 0 before any product.  It returns
-    once the sum exceeds target, once a step adds at most tol times the sum,
-    or after theta.size steps (README.md, Stopping rule).
+    the decrement: M is SPD, H is PSD and g lies in its range.  A zero
+    gradient gives 0 before any product.  It returns once the sum exceeds
+    target, once a step adds at most tol times the sum, or after theta.size
+    steps (README.md, Stopping rule).
     """
     w, c = _curvature(theta, XT, loss_kind)
     product = _hessian_product(w, c, X, XT, reg)
@@ -227,17 +227,18 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
 
     Each iteration takes the two-loop L-BFGS direction d over the last
     _MEMORY steps (Liu & Nocedal 1989), or -g when d is not a descent
-    direction, and tries a step of cfg.learning_rate in the first iteration
-    and of 1 later, halved up to _MAX_HALVINGS times until J strictly
-    decreases and meets the Armijo condition.  Training stops once an
-    accepted step changed J by less than cfg.convergence_tol * max(1, |J|)
-    and the Newton decrement g^T H^-1 g / 2 of the exact Hessian H, an
-    estimate of J - J* (Boyd & Vandenberghe 9.5), is at most
-    cfg.convergence_tol * |J|, or at once at a zero gradient.  The decrement
-    (_newton_decrement) is checked only when the last one, scaled by the
-    fall of the free estimate -g^T d / 2 since, would pass.  It stops
-    unconverged, and logs a warning with the gradient norm and the last
-    decrement, after cfg.max_epochs iterations or when no step decreases J.
+    direction, and tries a step t of cfg.learning_rate in the first
+    iteration and of 1 later, halved until J strictly decreases and meets
+    the Armijo condition, while J + t g^T d < J (J can show the predicted
+    fall).  Training stops once an accepted step changed J by less than
+    cfg.convergence_tol * max(1, |J|) and the Newton decrement g^T H^+ g / 2
+    of the exact Hessian H, an estimate of J - J* (Boyd & Vandenberghe 9.5),
+    is at most cfg.convergence_tol * |J|, or at once at a zero gradient.
+    The decrement (_newton_decrement) is checked only when the last one,
+    scaled by the fall of the free estimate -g^T d / 2 since, would pass.
+    It stops unconverged, and logs a warning with the gradient norm and the
+    last decrement, after cfg.max_epochs iterations or when no step
+    decreases J.
 
     The default start is W = 0, b = 0, which makes the whole procedure
     deterministic; pass init=(W0, b0) to start elsewhere, e.g. from the
@@ -262,7 +263,6 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     X = np.column_stack([data.X, np.ones(data.n_examples)])
     XT, Q = np.ascontiguousarray(X.T), np.ascontiguousarray(data.Q.T).T
     reg = np.tile(np.append(np.full(n_features, cfg.lam), 0.0), n_labels)
-    ridge = _HESSIAN_RIDGE * (X * X).mean(axis=0).max()  # at least _HESSIAN_RIDGE: the bias column's is 1
 
     theta = np.column_stack([W, b]).ravel()
     value, grad = _objective(theta, X, XT, Q, reg, loss_kind)
@@ -282,12 +282,12 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
             unconverged = None
             break
         slope = grad.dot(direction)
-        if not slope < 0.0:
+        if not -math.inf < slope < 0.0:
             pairs.clear()
             direction = -grad
             slope = -grad.dot(grad)
         trial = step
-        for _ in range(_MAX_HALVINGS + 1):
+        while value + trial * slope < value:
             theta_new = theta + trial * direction
             value_new, grad_new = _objective(theta_new, X, XT, Q, reg, loss_kind)
             if math.isfinite(value_new) and value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
@@ -310,7 +310,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         estimate = -0.5 * grad.dot(direction)
         target = cfg.convergence_tol * abs(value)
         if change < cfg.convergence_tol and ratio * estimate <= target:
-            decrement = _newton_decrement(theta, grad, X, XT, reg + ridge, loss_kind, cfg.convergence_tol, target)
+            decrement = _newton_decrement(theta, grad, X, XT, reg, loss_kind, cfg.convergence_tol, target)
             ratio = decrement / estimate if estimate > 0.0 else ratio
             if decrement <= target:
                 unconverged = None
@@ -318,7 +318,7 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     if unconverged:
         logger.warning(
             "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s; |grad J| %.3g, %s",
-            loss_kind, cfg.lam, iterations, unconverged, math.sqrt(grad.dot(grad)),
+            loss_kind, cfg.lam, iterations, unconverged, math.hypot(*grad),
             "no Newton decrement computed" if decrement is None else f"last Newton decrement at least {decrement:.3g}",
         )
     # The model gets arrays of its own, not views of the search's last

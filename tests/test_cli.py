@@ -338,8 +338,9 @@ class TestMultilabel:
         assert json.loads(out_path.read_text())["config_echo"]["standardize"] is False
 
     def test_no_standardize_fits_duplicated_count_columns(self, tmp_path, capsys):
-        # Equal raw columns of counts times 1e4 at lam = 0 leave the Hessian
-        # singular but for its ridge, which must scale with the features.
+        # Equal raw columns of counts times 1e4 at lam = 0 leave the Hessian's
+        # blocks singular but for the preconditioner's ridge, which must scale
+        # with the features.
         rng = np.random.default_rng(0)
         paths = []
         for name, n in (("train", 40), ("test", 20)):

@@ -395,18 +395,26 @@ class TestObjective:
         assert v1 - v0 == pytest.approx(5.0 * np.sum(W * W), rel=1e-12)
 
 
-def dense_hessian(theta, data, lam, loss_kind, ridge=_HESSIAN_RIDGE):
+def dense_hessian(theta, data, lam, loss_kind):
     """The matrix of fit's Hessian-vector product, one column per unit vector."""
     X, XT, reg = design(data, lam)
-    product = _hessian_product(*_curvature(theta, XT, loss_kind), X, XT, reg + ridge)
+    product = _hessian_product(*_curvature(theta, XT, loss_kind), X, XT, reg)
     return np.column_stack([product(e) for e in np.eye(theta.size)])
+
+
+def exact_decrement(model, data, lam, loss_kind):
+    """J at the model and its Newton decrement g^T H^+ g / 2 from a dense pseudo-inverse."""
+    value, grad_W, grad_b = objective_at(model, data, lam, loss_kind)
+    grad = pack(grad_W, grad_b)
+    H = dense_hessian(pack(model.W, model.b), data, lam, loss_kind)
+    return value, 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
 
 
 def decrement_at(theta, data, lam, loss_kind, tol, target):
     """fit's decrement check at theta, on the objective's own gradient: (its value, the gradient)."""
     X, XT, reg = design(data, lam)
     grad = _objective(theta, X, XT, data.Q, reg, loss_kind)[1]
-    return _newton_decrement(theta, grad, X, XT, reg + _HESSIAN_RIDGE, loss_kind, tol, target), grad
+    return _newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target), grad
 
 
 class TestHessian:
@@ -429,19 +437,19 @@ class TestHessian:
         fd = fd_jacobian(lambda t: flat_objective(t, data, lam, loss_kind)[1], theta)
         H = dense_hessian(theta, data, lam, loss_kind)
         np.testing.assert_allclose(H, H.T, atol=1e-15)
-        np.testing.assert_allclose(H, fd + _HESSIAN_RIDGE * np.eye(theta.size), atol=1e-6)
+        np.testing.assert_allclose(H, fd, atol=1e-6)
 
     @pytest.mark.parametrize("loss_kind", (LOSS_LOGISTIC, LOSS_SPARSEMAX))
     def test_bias_shift_is_flat(self, loss_kind):
         # Adding one constant to every score changes neither loss, so the
-        # Hessian maps [0; 1_K] to zero; the ridge exists for this direction.
+        # Hessian maps [0; 1_K] to zero; only the preconditioner has a ridge.
         rng = np.random.default_rng(1)
         data = random_problem(rng, n=30, d=3, k=4)
         theta = rng.normal(size=4 * 4)
         shift = np.tile([0.0, 0.0, 0.0, 1.0], 4)
         H = dense_hessian(theta, data, 0.5, loss_kind)
-        np.testing.assert_allclose(H @ shift, _HESSIAN_RIDGE * shift, atol=1e-15)
-        assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= _HESSIAN_RIDGE - 1e-14
+        np.testing.assert_allclose(H @ shift, 0.0, atol=1e-15)
+        assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() >= -1e-14
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_decrement_matches_a_dense_solve(self, loss_kind):
@@ -450,7 +458,9 @@ class TestHessian:
         # a small one they stop early on a value that is already above it.
         # That value is at most the decrement, up to rounding: for the binary
         # loss the first preconditioned step is exact, so the early stop
-        # returns the decrement itself.
+        # returns the decrement itself.  The coupled losses' H is singular
+        # along the bias shift, which g has no part in: there the solve's
+        # answer is rounding, and g^T x is a pseudo-inverse's within 1e-14.
         rng = np.random.default_rng(2)
         data = random_problem(rng, n=40, d=5, k=6)
         theta = rng.normal(scale=0.5, size=6 * 6)
@@ -488,19 +498,20 @@ class TestHessian:
         ],
     )
     def test_decrement_on_degenerate_blocks_matches_a_pseudo_inverse(self, case, loss_kind, lam):
-        # H, and for the first two cases a block of the preconditioner, is
-        # singular but for the ridge in some direction the gradient has no
-        # part in.  Preconditioned CG must still sum to the decrement on the
-        # gradient's range, which a pseudo-inverse gives, and not stop at 0.
-        # Scores within 0.5 of each other give every sparse support 4 or 5
-        # labels: a label in singleton supports only would have the ridge
-        # alone for curvature but a gradient, and so a decrement of ~1e8.
+        # H, and for the first two cases a block of H, is singular in some
+        # direction the gradient has no part in; only the preconditioner's
+        # ridge makes its blocks invertible.  Preconditioned CG must still sum
+        # to the decrement on the gradient's range, which a pseudo-inverse
+        # gives, and not stop at 0.  Scores within 0.5 of each other give every
+        # sparse support 4 or 5 labels: a label in singleton supports only
+        # would have no curvature but a gradient, and so no finite decrement.
         rng = np.random.default_rng(5)
         data = random_problem(rng, n=40, d=4, k=5)
         theta = rng.normal(scale=0.05, size=(5, 5))
         if case == "ridge-only block":
             # Label 4 has no target mass and scores far below the others, so
-            # it is in no support: its Hessian block is the ridge alone.
+            # it is in no support: its Hessian block is 0, its preconditioner
+            # block the ridge alone.
             Q = data.Q.copy()
             Q[:, 4] = 0.0
             data = LabeledDataset(X=data.X, Q=Q / Q.sum(axis=1, keepdims=True))
@@ -518,8 +529,9 @@ class TestHessian:
         assert decrement == pytest.approx(exact, rel=1e-6)
         if case == "ridge-only block":
             X, XT, reg = design(data, lam)
-            inverse = _block_inverse(*_curvature(theta, XT, loss_kind), XT, reg + _HESSIAN_RIDGE)
-            np.testing.assert_allclose(inverse[4], np.eye(5) / _HESSIAN_RIDGE, rtol=1e-12)
+            inverse = _block_inverse(*_curvature(theta, XT, loss_kind), XT, reg)
+            ridge = _HESSIAN_RIDGE * (XT * XT).mean(axis=1).max()
+            np.testing.assert_allclose(inverse[4], np.eye(5) / ridge, rtol=1e-12)
 
     def test_decrement_of_a_zero_gradient_is_zero(self):
         rng = np.random.default_rng(3)
@@ -717,13 +729,16 @@ class TestFit:
         (record,) = caplog.records
         assert "after 2000 iterations: reached max_epochs" in record.getMessage()
         assert model.b[1] > 100.0
+        # The gradient's squared norm underflows; the logged norm does not.
+        assert float(record.getMessage().split("|grad J| ")[1].split(",")[0]) > 0.0
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_duplicated_raw_columns_fit_at_any_scale(self, loss_kind, caplog):
         # Two equal unstandardized count columns at lam = 0: H is singular
         # along their difference, and its blocks hold entries of about 3e7,
         # below whose rounding an absolute ridge of 1e-10 would vanish.  The
-        # ridge scales with the largest column mean square of [X 1].
+        # preconditioner's ridge scales with the largest column mean square
+        # of [X 1].
         rng = np.random.default_rng(0)
         column = rng.poisson(5.0, size=40) * 1e3
         Q = rng.dirichlet(np.ones(3), size=40)
@@ -748,12 +763,9 @@ class TestFit:
     )
     def test_a_converged_fit_is_certified_by_the_exact_decrement(self, n, d, k, scale, lam, loss_kind, seed):
         # A fit that returns without a warning has a Newton decrement of at
-        # most the target: g^T H^+ g / 2 of the exact Hessian without the
-        # ridge, with 1% slack for the dense solve.  Targets are sparse: each
-        # row puts Dirichlet mass on about half of the labels, one at least.
-        # The check's ridge can hide a curvature below it (ROADMAP item 3):
-        # a binary fit on 5 or 6 rows whose bias saturates, about 1 in 3,600
-        # of these draws, stops above the target.
+        # most the target: g^T H^+ g / 2 of the exact Hessian, with 1% slack
+        # for the dense solve.  Targets are sparse: each row puts Dirichlet
+        # mass on about half of the labels, one at least.
         rng = np.random.default_rng(seed)
         on = rng.random((n, k)) < 0.5
         on[np.arange(n), rng.integers(0, k, size=n)] = True
@@ -764,11 +776,40 @@ class TestFit:
             model = fit(data, cfg, loss_kind)
         if warning.called:
             return
-        value, grad_W, grad_b = objective_at(model, data, lam, loss_kind)
-        grad = pack(grad_W, grad_b)
-        H = dense_hessian(pack(model.W, model.b), data, lam, loss_kind, ridge=0.0)
-        decrement = 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
+        value, decrement = exact_decrement(model, data, lam, loss_kind)
         assert decrement <= 1.01 * cfg.convergence_tol * abs(value)
+
+    def test_a_saturating_binary_bias_is_certified_by_the_exact_decrement(self):
+        # Label 0 is on in all 6 rows, so its bias runs to about 24 and H's
+        # smallest eigenvalue falls to about 3e-11.  A ridge of 1e-10 in the
+        # check's H, not only in its preconditioner, summed g_i^2 / 2 over that
+        # curvature plus the ridge and passed a decrement of 1.42 x target.
+        rng = np.random.default_rng(1407527686)
+        X = rng.normal(size=(6, 3))
+        on = rng.random((6, 2)) < 0.5
+        on[np.arange(6), rng.integers(0, 2, 6)] = True
+        Q = rng.dirichlet(np.ones(2), 6) * on
+        data = LabeledDataset(X=X, Q=Q / Q.sum(axis=1, keepdims=True))
+        cfg = TrainConfig(lam=1e-6)
+        with mock.patch.object(linear_model.logger, "warning") as warning:
+            model = fit(data, cfg, LOSS_BINARY_LOGISTIC)
+        assert not warning.called
+        value, decrement = exact_decrement(model, data, cfg.lam, LOSS_BINARY_LOGISTIC)
+        assert decrement <= 1.01 * cfg.convergence_tol * abs(value)
+
+    def test_sparse_fit_on_a_raw_count_column_reaches_the_optimum(self, caplog):
+        # Counts times 1e4 beside an N(0, 1) column: a unit step along -g
+        # takes J from 0.087 to 8e7, and after 30 halvings J is still above
+        # its start (a cap of 30 gave up at iteration 0 with W = 0).  The line
+        # search halves for as long as J can still show the predicted fall.
+        rng = np.random.default_rng(0)
+        X = np.column_stack([rng.poisson(5.0, 200) * 1e4, rng.normal(size=200)])
+        data = LabeledDataset(X=X, Q=rng.dirichlet(np.ones(3), size=200))
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            model = fit(data, TrainConfig(lam=1e-3), LOSS_SPARSEMAX)
+        assert caplog.records == []
+        value = objective_at(model, data, 1e-3, LOSS_SPARSEMAX)[0]
+        assert abs(value - scipy_optimum(data, 1e-3, LOSS_SPARSEMAX)) <= 1e-6
 
     def test_regularization_shrinks_weights(self):
         data = separable_line()

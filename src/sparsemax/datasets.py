@@ -153,9 +153,7 @@ def _draw_examples(rng, cfg: SyntheticConfig, count: int, word_dists: np.ndarray
             weights = rng.dirichlet(np.ones(n_active))
         Q[i, labels] = weights
         length = int(rng.poisson(cfg.mean_doc_length))
-        if length > 0:
-            word_probs = weights @ word_dists[labels]
-            X[i] = rng.multinomial(length, word_probs)
+        X[i] = rng.multinomial(length, weights @ word_dists[labels])
     return LabeledDataset(X=X, Q=Q)
 
 

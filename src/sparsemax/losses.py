@@ -9,7 +9,8 @@ one-hot vector.
 Every loss formula lives once, in :func:`loss_rows`, which evaluates a
 whole batch of score rows against their targets in either memory layout.
 The training objective of ``linear_model`` calls it directly, on the
-transposed view of label-major scores and targets.  The 1-D functions
+transposed view of label-major scores and targets, and builds its
+Hessian from :func:`curvature_rows`.  The 1-D functions
 validate one score vector and target with ``simplex`` and call it on
 that row.  Softmax, the sparsemax threshold and the projection come from
 ``simplex``.
@@ -21,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .jacobians import softmax_jacobian_rows, sparsemax_jacobian_rows
 from .simplex import check_distribution, check_scores, project_shifted, shifted_threshold, softmax_logsumexp_rows
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "LossValue",
     "delta_distribution",
     "loss_rows",
+    "curvature_rows",
     "sigmoid",
     "logistic_loss",
     "sparsemax_loss",
@@ -107,6 +110,18 @@ def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
     else:
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     return values, grads
+
+
+def curvature_rows(scores: np.ndarray, loss_kind: str):
+    """Factors (w, c) of each row's score Hessian Diag(w) - c w w^T for loss_rows: the Jacobian
+    of the loss's link, softmax or sparsemax (jacobians), or sigmoid' with c = 0 (binary)."""
+    if loss_kind == LOSS_LOGISTIC:
+        return softmax_jacobian_rows(softmax_logsumexp_rows(scores)[0])
+    if loss_kind == LOSS_SPARSEMAX:
+        return sparsemax_jacobian_rows(project_shifted(*shifted_threshold(scores)))
+    if loss_kind == LOSS_BINARY_LOGISTIC:
+        return sigmoid(scores) * sigmoid(-scores), 0.0
+    raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
 def _loss_value(z, q, loss_kind: str) -> LossValue:

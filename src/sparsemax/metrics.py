@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .simplex import check_distribution
+
 __all__ = [
     "mse",
     "mse_rows",
@@ -20,18 +22,6 @@ __all__ = [
 ]
 
 
-def _check_pair(q, p):
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if q.ndim != 1 or q.shape != p.shape:
-        raise ValueError("distributions must be one-dimensional with equal length")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-        raise ValueError("distributions must contain only finite values")
-    if np.any(q < 0.0) or np.any(p < 0.0):
-        raise ValueError("distributions must be nonnegative")
-    return q, p
-
-
 def mse_rows(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance ||q - p||^2 per row, (N, K) or (K,)."""
     d = Q - P
@@ -40,7 +30,8 @@ def mse_rows(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def mse(q, p) -> float:
     """Squared Euclidean distance ||q - p||^2 for one example."""
-    return float(mse_rows(*_check_pair(q, p)))
+    q = check_distribution(q)
+    return float(mse_rows(q, check_distribution(p, q.size)))
 
 
 def _kl_rows(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -60,7 +51,8 @@ def js_divergence_rows(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def js_divergence(q, p) -> float:
     """Jensen-Shannon divergence of one example; see js_divergence_rows."""
-    return float(js_divergence_rows(*_check_pair(q, p)))
+    q = check_distribution(q)
+    return float(js_divergence_rows(q, check_distribution(p, q.size)))
 
 
 def micro_macro_f1_rows(predicted: np.ndarray, gold: np.ndarray) -> tuple[float, float]:

@@ -259,6 +259,12 @@ def test_07_proportion_benchmark_ordering(tmp_path, monkeypatch):
     elapsed = time.monotonic() - started
     assert code == 0
     cells = json.loads(out_path.read_text())["per_cell_results"]
+    # The cross-validated lam of each cell, in cell order: grid values, so a
+    # refactor that keeps the result file keeps them exactly; a change that
+    # moves one updates this pin and says why.
+    assert [c["lambda"] for c in cells] == [
+        1e-3, 1e-9, 1e-4, 1e-7, 1e-4, 1e-8, 1e-4, 1e-9, 1e-9, 1e-9, 1e-4, 1e-8, 1e-4, 1e-4, 1e-4, 1e-9
+    ]
     js = {(c["mixture"], c["doc_length"], c["loss"]): c["js_divergence"] for c in cells}
     ordered = all(
         js[(mixture, 2000, "sparsemax")] < js[(mixture, 2000, "logistic")]

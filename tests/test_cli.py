@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsemax import LabeledDataset, SyntheticConfig, generate_synthetic, write_libsvm_multilabel
+from sparsemax import LOSS_BINARY_LOGISTIC, LabeledDataset, SyntheticConfig, generate_synthetic, write_libsvm_multilabel
 from sparsemax.cli import _LABELPROP_KEYS, default_rule_grid, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -415,32 +415,17 @@ class TestMultilabel:
         assert cell["macro_f1"] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert cell["micro_f1"] == pytest.approx(0.8, abs=1e-15)
 
-    @pytest.mark.parametrize("method", ["softmax", "sparsemax"])
-    def test_every_fit_converges_on_the_acceptance_08_data(self, tmp_path, capsys, caplog, method):
-        # The full default grid on the data of acceptance 08, whose largest
-        # lam (100) puts the gradient-norm target below the rounding of J.
-        # When fit stopped on the gradient norm, softmax logged 5 warnings
-        # (4 fits at the cap, one on a failed line search) and sparsemax 1.
-        cfg = SyntheticConfig(n_labels=6, n_train=200, n_test=200, mean_doc_length=2000.0, mixture="uniform", seed=11)
-        train, test = generate_synthetic(cfg)
-        write_libsvm_multilabel(train, tmp_path / "train.svm")
-        write_libsvm_multilabel(test, tmp_path / "test.svm")
-        argv = [
-            "multilabel",
-            "--train", str(tmp_path / "train.svm"),
-            "--test", str(tmp_path / "test.svm"),
-            "--method", method,
-            "--out", str(tmp_path / "result.json"),
-            "--seed", "0",
-        ]
-        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
-            assert run_cli(argv, capsys)[0] == 0
-        assert [r.getMessage() for r in caplog.records if r.name == "sparsemax.linear_model"] == []
-
-    def test_acceptance_08_results_are_pinned(self, tmp_path, capsys):
-        # The chosen lam and rule parameter are grid values and the F1 scores
-        # ratios of label counts, so a refactor that keeps the results keeps
-        # them exactly; a change that moves them updates this pin.
+    def test_acceptance_08_results_are_pinned_and_every_fit_is_accounted_for(self, tmp_path, capsys, caplog):
+        # The full default grid on the data of acceptance 08, each method run
+        # once.  The chosen lam and rule parameter are grid values and the F1
+        # scores ratios of label counts, so a refactor that keeps the results
+        # keeps them exactly; a change that moves them updates this pin.
+        # The largest lam (100) puts the gradient-norm target below the
+        # rounding of J: when fit stopped on the gradient norm, softmax logged
+        # 5 warnings (4 fits at the cap, one on a failed line search) and
+        # sparsemax 1.  The logistic method's binary loss still stops 20
+        # cross-validation fits at lam <= 1e-5 at the cap (ROADMAP item 2);
+        # a change that mends them updates that count.
         cfg = SyntheticConfig(n_labels=6, n_train=200, n_test=200, mean_doc_length=2000.0, mixture="uniform", seed=11)
         train, test = generate_synthetic(cfg)
         write_libsvm_multilabel(train, tmp_path / "train.svm")
@@ -460,9 +445,23 @@ class TestMultilabel:
                 "--out", str(out_path),
                 "--seed", "0",
             ]
-            assert run_cli(argv, capsys)[0] == 0
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+                assert run_cli(argv, capsys)[0] == 0
             cell = json.loads(out_path.read_text())["per_cell_results"][0]
             assert (cell["lambda"], cell["rule_param"], cell["micro_f1"], cell["macro_f1"]) == pinned
+            stops = [
+                re.match(r"fit \((.+) loss, lam (\S+)\) stopped unconverged after \d+ iterations: ([^;]+);", r.getMessage())
+                for r in caplog.records
+                if r.name == "sparsemax.linear_model"
+            ]
+            if method != "logistic":
+                assert stops == []
+                continue
+            assert len(stops) == 20 and all(
+                stop[1] == LOSS_BINARY_LOGISTIC and float(stop[2]) <= 1e-5 and stop[3] == "reached max_epochs"
+                for stop in stops
+            )
 
 
 def test_training_settings_are_fixed(tmp_path, capsys, labelprop_config, libsvm_pair):

@@ -20,6 +20,7 @@ from sparsemax import (
     SyntheticConfig,
     TrainConfig,
     cross_validate,
+    curvature_rows,
     decide_rows,
     fit,
     generate_synthetic,
@@ -37,7 +38,7 @@ from sparsemax import (
     threshold_and_support,
 )
 from sparsemax import linear_model
-from sparsemax.linear_model import _HESSIAN_RIDGE, _block_inverse, _curvature, _hessian_product, _newton_decrement, _objective
+from sparsemax.linear_model import _HESSIAN_RIDGE, _block_inverse, _hessian_product, _newton_decrement, _objective, _scores
 
 ALL_LOSSES = (LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC)
 
@@ -398,7 +399,7 @@ class TestObjective:
 def dense_hessian(theta, data, lam, loss_kind):
     """The matrix of fit's Hessian-vector product, one column per unit vector."""
     X, XT, reg = design(data, lam)
-    product = _hessian_product(*_curvature(theta, XT, loss_kind), X, XT, reg)
+    product = _hessian_product(*curvature_rows(_scores(theta, XT), loss_kind), X, XT, reg)
     return np.column_stack([product(e) for e in np.eye(theta.size)])
 
 
@@ -529,7 +530,7 @@ class TestHessian:
         assert decrement == pytest.approx(exact, rel=1e-6)
         if case == "ridge-only block":
             X, XT, reg = design(data, lam)
-            inverse = _block_inverse(*_curvature(theta, XT, loss_kind), XT, reg)
+            inverse = _block_inverse(*curvature_rows(_scores(theta, XT), loss_kind), XT, reg)
             ridge = _HESSIAN_RIDGE * (XT * XT).mean(axis=1).max()
             np.testing.assert_allclose(inverse[4], np.eye(5) / ridge, rtol=1e-12)
 

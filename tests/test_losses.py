@@ -6,9 +6,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sparsemax import (
+    LOSS_BINARY_LOGISTIC,
+    LOSS_LOGISTIC,
+    LOSS_SPARSEMAX,
+    curvature_rows,
     delta_distribution,
+    jvp_rows,
     logistic_loss,
     logistic_loss_multi,
+    loss_rows,
     sigmoid,
     softmax,
     sparsemax,
@@ -218,6 +224,35 @@ class TestMultiTargetLosses:
             sparsemax_loss_multi([0.0, 0.0], [1.5, -0.5])
         with pytest.raises(ValueError):
             sparsemax_loss_multi([0.0, 0.0], [0.5, 0.25, 0.25])
+
+
+class TestCurvatureRows:
+    """curvature_rows factors the Jacobian of loss_rows' gradient in the scores, row by row."""
+
+    @staticmethod
+    def scores(rng):
+        # Rows at least 1e-3 from a sparsemax support boundary, so the support
+        # holds over the steps of 1e-5 times directions of a few units below.
+        S = rng.normal(size=(20, 5)) * 2
+        for row in S:
+            while support_margin(row, threshold_and_support(row)) < 1e-3:
+                row[:] = rng.normal(size=5) * 2
+        return S
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    @pytest.mark.parametrize("kind", [LOSS_LOGISTIC, LOSS_SPARSEMAX, LOSS_BINARY_LOGISTIC])
+    def test_products_match_differences_of_the_gradient(self, kind, layout):
+        rng = np.random.default_rng(11)
+        S = layout(self.scores(rng))
+        Q = layout(rng.dirichlet(np.ones(5), size=20))
+        V = layout(rng.normal(size=(20, 5)))
+        h = 1e-5
+        expected = (loss_rows(S + h * V, Q, kind)[1] - loss_rows(S - h * V, Q, kind)[1]) / (2.0 * h)
+        np.testing.assert_allclose(jvp_rows(*curvature_rows(S, kind), V), expected, rtol=0.0, atol=1e-8)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            curvature_rows(np.zeros((2, 3)), "hinge")
 
 
 def two_branch_sigmoid(z):

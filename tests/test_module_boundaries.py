@@ -42,6 +42,33 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert len(private_imports(bad)) == 2
 
 
+def loss_kind_names(path: Path) -> list[str]:
+    """The LOSS_* and *_jacobian_rows names a module imports or uses, by AST."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name.startswith("LOSS_") or name.endswith("_jacobian_rows"):
+            names.append(f"{path.name}:{getattr(node, 'lineno', '?')} names {name}")
+    return names
+
+
+def test_the_trainer_names_no_loss_kind(tmp_path):
+    # linear_model takes each loss's values, gradients and Hessian factors from
+    # losses by the kind its caller passes, so a new loss needs no edit there.
+    assert loss_kind_names(PACKAGE_DIR / "linear_model.py") == []
+    bad = tmp_path / "bad.py"
+    bad.write_text("from .losses import LOSS_SPARSEMAX\nfrom . import jacobians\njacobians.softmax_jacobian_rows\n")
+    assert len(loss_kind_names(bad)) == 2
+
+
 # Installs the benchmark's tracer on a fresh import of the package and
 # prints the names of the per-layer metrics it reports.
 METRIC_NAMES_SCRIPT = """

@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--folds", type=int, default=5)
     p_ml.add_argument("--lambdas", type=_floats_arg, default=LAMBDA_GRID_MULTILABEL)
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)
-    p_ml.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs, help="cap on L-BFGS iterations per fit")
+    p_ml.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs, help="cap on iterations per fit")
     p_ml.add_argument("--no-standardize", action="store_true")
     p_ml.set_defaults(func=cmd_multilabel)
     return parser

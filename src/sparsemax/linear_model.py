@@ -1,8 +1,8 @@
 """Regularized linear models for distribution targets.
 
 Trains W, b to minimize  lam/2 * ||W||_F^2 + mean_i L(W x_i + b; q_i)
-by full-batch L-BFGS with a backtracking line search, on the flat
-parameters [W b].ravel() against [X 1]; the bias is never regularized.
+by full-batch L-BFGS and Newton steps with a backtracking line search, on
+the flat parameters [W b].ravel() against [X 1]; the bias is never regularized.
 Three loss kinds are supported: the multinomial logistic loss, its sparse
 analogue, and a bank of independent binary logistic losses (one per
 label, with targets q_i > 0).
@@ -53,10 +53,9 @@ RULE_SPARSEMAX_SCALE = "sparsemax_scale"
 
 _MEMORY = 10
 _ARMIJO_C1 = 1e-4
-# Times the largest column mean square of [X 1] (at least 1, the bias column's; 1 for
-# standardized features), added to the blocks of _block_inverse only, so that each inverts at
-# any feature scale in H's flat directions (the bias shift; at lam = 0 a label outside every
-# support, a repeated feature).  1e-16 to 1e-6 give acceptance 07 and 08 the same results.
+# Times each diagonal entry of the blocks of _block_inverse (of the largest column mean square of [X 1] where
+# one is 0), added to those blocks only: each then inverts in H's flat directions (the bias shift; at lam = 0 a
+# label in no support, a repeated feature) at any scale, and a curvature far below its block's is not swamped.
 _HESSIAN_RIDGE = 1e-10
 
 logger = logging.getLogger(__name__)
@@ -77,7 +76,7 @@ class LinearModel:
 @dataclass(frozen=True)
 class TrainConfig:
     lam: float = 0.0  # weight of the penalty lam/2 * ||W||_F^2
-    max_epochs: int = 100  # cap on the L-BFGS iterations
+    max_epochs: int = 100  # cap on the iterations
     learning_rate: float = 1.0  # the first iteration's trial step; later ones try 1
     convergence_tol: float = 1e-7  # on a step's change in J, times max(1, |J|); on the Newton decrement, times |J|
 
@@ -171,48 +170,58 @@ def _block_inverse(w, c, XT, reg):
     diag = (w - c * w * w).T
     blocks = np.stack([(XT * d).dot(XT.T) for d in diag])
     blocks /= diag.shape[1]
-    ridge = _HESSIAN_RIDGE * (XT * XT).mean(axis=1).max()
-    blocks.reshape(len(diag), -1)[:, :: len(XT) + 1] += reg.reshape(len(diag), -1) + ridge
+    diagonal = blocks.reshape(len(diag), -1)[:, :: len(XT) + 1]
+    diagonal += reg.reshape(len(diag), -1)
+    diagonal += _HESSIAN_RIDGE * np.where(diagonal > 0.0, diagonal, (XT * XT).mean(axis=1).max())
     inverse = np.linalg.inv(blocks)
     return 0.5 * (inverse + inverse.transpose(0, 2, 1))
 
 
-def _newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target):
-    """A lower bound on the Newton decrement g^T H^+ g / 2 at theta (reg as in _hessian_product).
+def _newton_decrement(theta, grad, X, XT, reg, loss_kind, target):
+    """A lower bound on the Newton decrement g^T H^+ g / 2 at theta (reg as in _hessian_product),
+    and the CG iterate x of H x = g it comes from.
 
-    CG from 0 on H x = g, preconditioned by M^-1 = _block_inverse, adds
-    alpha_j r_j^T M^-1 r_j / 2 to g^T x / 2 at step j, so the sum rises to
-    the decrement: M is SPD, H is PSD and g lies in its range.  A zero
-    gradient gives 0 before any product.  It returns once the sum exceeds
-    target, once a step adds at most tol times the sum, or after theta.size
-    steps (README.md, Stopping rule).
+    CG from 0 on H x = g, preconditioned by M^-1 (below), adds alpha_j r_j^T M^-1 r_j / 2 to
+    g^T x / 2 at step j, so the sum rises to the decrement: M is SPD, H is PSD and g lies in its
+    range.  A zero gradient gives 0 before any product.  It returns once a step adds at most 1% of
+    |target - sum|, so a sum above target goes on towards a usable Newton step, after theta.size
+    steps, or at a curvature p^T H p that rounding made nonpositive (README.md, Stopping rule).
     """
     w, c = curvature_rows(_scores(theta, XT), loss_kind)
     product = _hessian_product(w, c, X, XT, reg)
     inverse = _block_inverse(w, c, XT, reg)
-    precondition = lambda r: np.matmul(inverse, r.reshape(len(inverse), -1, 1)).ravel()
-    r, p = grad.copy(), precondition(grad)
+    # M^-1 is the blocks' inverse plus, for the shift-invariant links (c > 0: J_i 1 = 0), that of K lam
+    # on the weights along the shift of every label's row of [W b] by one u, which only the penalty curves.
+    shift = np.divide(1.0, len(inverse) * reg[: len(XT)], out=np.zeros(len(XT)), where=reg[: len(XT)] > 0.0) * np.any(c)
+    def precondition(r):
+        r = r.reshape(len(inverse), -1)
+        return (np.matmul(inverse, r[:, :, None])[:, :, 0] + shift * r.sum(axis=0)).ravel()
+    x, r, p = np.zeros_like(grad), grad.copy(), precondition(grad)
     rz = r.dot(p)
     decrement = 0.0
     for _ in range(theta.size):
         if not rz > 0.0:
             break
         Hp = product(p)
-        alpha = rz / p.dot(Hp)
+        curvature = p.dot(Hp)
+        if not curvature > 0.0:
+            break
+        alpha = rz / curvature
+        x += alpha * p
         added = 0.5 * alpha * rz
         decrement += added
-        if decrement > target or added <= tol * decrement:
+        if added <= 1e-2 * abs(target - decrement):
             break
         r -= alpha * Hp
         z = precondition(r)
         rz_next = r.dot(z)
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return decrement
+    return decrement, x
 
 
 def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, history=None) -> LinearModel:
-    """Train a linear model by L-BFGS with a backtracking line search.
+    """Train a linear model by L-BFGS with a backtracking line search, finished by Newton steps.
 
     Each iteration takes the two-loop L-BFGS direction d over the last
     _MEMORY steps (Liu & Nocedal 1989), or -g when d is not a descent
@@ -222,10 +231,12 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     fall).  Training stops once an accepted step changed J by less than
     cfg.convergence_tol * max(1, |J|) and the Newton decrement g^T H^+ g / 2
     of the exact Hessian H, an estimate of J - J* (Boyd & Vandenberghe 9.5),
-    is at most cfg.convergence_tol * |J|, or at once at a zero gradient.
-    It stops unconverged, and logs a warning with the gradient norm and the
-    last decrement, after cfg.max_epochs iterations or when no step
-    decreases J.
+    is at most cfg.convergence_tol * |J|, or at once at a zero gradient.  A
+    failed check's CG iterate x of H x = g makes the next direction -x.
+    Where no trial step decreases J, a check at theta decides: a pass stops
+    the fit converged; else it stops unconverged, as after cfg.max_epochs
+    iterations, and logs a warning with the gradient norm and the last
+    decrement.
 
     The default start is W = 0, b = 0, which makes the whole procedure
     deterministic; pass init=(W0, b0) to start elsewhere, e.g. from the
@@ -240,13 +251,10 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
     per CG step, in O(N K + K (D + 1)^2) memory.
     """
     n_labels, n_features = data.n_labels, data.n_features
-    if init is None:
-        W = np.zeros((n_labels, n_features))
-        b = np.zeros(n_labels)
-    else:
-        W, b = (np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64))
-        if W.shape != (n_labels, n_features) or b.shape != (n_labels,):
-            raise ValueError("init shapes do not match the data dimensions")
+    W, b = (np.zeros((n_labels, n_features)), np.zeros(n_labels)) if init is None else init
+    W, b = np.array(W, dtype=np.float64), np.array(b, dtype=np.float64)
+    if W.shape != (n_labels, n_features) or b.shape != (n_labels,):
+        raise ValueError("init shapes do not match the data dimensions")
     X = np.column_stack([data.X, np.ones(data.n_examples)])
     XT, Q = np.ascontiguousarray(X.T), np.ascontiguousarray(data.Q.T).T
     reg = np.tile(np.append(np.full(n_features, cfg.lam), 0.0), n_labels)
@@ -279,8 +287,10 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
             if value_new < value and value_new <= value + _ARMIJO_C1 * trial * slope:
                 break
             trial *= 0.5
-        else:
-            unconverged = "no trial step passes the line search"
+        else:  # a Newton step can land on J's minimum, where no step shows a fall: check there
+            target = cfg.convergence_tol * abs(value)
+            decrement = _newton_decrement(theta, grad, X, XT, reg, loss_kind, target)[0]
+            unconverged = None if decrement <= target else "no trial step passes the line search"
             break
         s, y = theta_new - theta, grad_new - grad
         sy = s.dot(y)
@@ -294,23 +304,23 @@ def fit(data: LabeledDataset, cfg: TrainConfig, loss_kind: str, init=None, histo
         estimate = -0.5 * grad.dot(direction)
         target = cfg.convergence_tol * abs(value)
         # Check only where the last decrement, scaled by the fall of the free estimate since, would pass.
-        # Unscaled, acceptance 07 made 4,313 checks; at every passing change test, 8,594 checks and 19,242
-        # products, 5.5 s against 3.6 (one run, 2 shared cores).  Both moved its result file.
+        # Unscaled, the nine CAL500-shaped fits of README.md took 8.0 s against 5.4; at every passing change
+        # test, 7.5 s, though acceptance 07 took 2.5 s against 3.0 (one run each, 2 shared cores).
         if change < cfg.convergence_tol and ratio * estimate <= target:
-            decrement = _newton_decrement(theta, grad, X, XT, reg, loss_kind, cfg.convergence_tol, target)
+            decrement, step = _newton_decrement(theta, grad, X, XT, reg, loss_kind, target)
             ratio = decrement / estimate if estimate > 0.0 else ratio
             if decrement <= target:
                 unconverged = None
                 break
+            direction = -step  # the truncated Newton step the failed check solved for (Nash 2000)
     if unconverged:
         logger.warning(
             "fit (%s loss, lam %g) stopped unconverged after %d iterations: %s; |grad J| %.3g, %s",
             loss_kind, cfg.lam, iterations, unconverged, math.hypot(*grad),
             "no Newton decrement computed" if decrement is None else f"last Newton decrement at least {decrement:.3g}",
         )
-    # The model gets arrays of its own, not views of the search's last
-    # vector: a process holding three labelprop sweeps' models peaked
-    # 0.15 MB lower (2 of 2 runs).
+    # The model gets arrays of its own, not views of the search's last vector: a process
+    # holding three labelprop sweeps' models peaked 0.15 MB lower (2 of 2 runs).
     theta = theta.reshape(n_labels, -1)
     return LinearModel(W=theta[:, :-1].copy(), b=theta[:, -1].copy())
 

@@ -145,6 +145,13 @@ def document_problem():
     return standardize_features(train, train)[0]
 
 
+def raw_count_column_problem():
+    """Counts times 1e4 beside an N(0, 1) column, unstandardized, with dense targets."""
+    rng = np.random.default_rng(0)
+    X = np.column_stack([rng.poisson(5.0, 200) * 1e4, rng.normal(size=200)])
+    return LabeledDataset(X=X, Q=rng.dirichlet(np.ones(3), size=200))
+
+
 def pack(W, b):
     """fit's flat parameters theta = [W b].ravel(), label-major."""
     return np.column_stack([W, b]).ravel()
@@ -411,11 +418,21 @@ def exact_decrement(model, data, lam, loss_kind):
     return value, 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
 
 
-def decrement_at(theta, data, lam, loss_kind, tol, target):
-    """fit's decrement check at theta, on the objective's own gradient: (its value, the gradient)."""
+def decrement_at(theta, data, lam, loss_kind, target):
+    """fit's decrement check at theta, on the objective's own gradient: (its value, its CG
+    iterate x of H x = g, the gradient)."""
     X, XT, reg = design(data, lam)
     grad = _objective(theta, X, XT, data.Q, reg, loss_kind)[1]
-    return _newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target), grad
+    return (*_newton_decrement(theta, grad, X, XT, reg, loss_kind, target), grad)
+
+
+def assert_check_brackets(theta, data, lam, loss_kind, exact, slack=1e-2):
+    """fit's check at theta certifies a target of (1 + slack) times the exact decrement, refutes
+    one of (1 - slack) times it, and never returns more than it, up to rounding."""
+    for factor in (1.0 + slack, 1.0 - slack):
+        decrement = decrement_at(theta, data, lam, loss_kind, factor * exact)[0]
+        assert (decrement <= factor * exact) == (factor > 1.0)
+        assert decrement <= (1.0 + 1e-12) * exact
 
 
 class TestHessian:
@@ -454,37 +471,46 @@ class TestHessian:
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_decrement_matches_a_dense_solve(self, loss_kind):
-        # Conjugate gradients sum up to g^T H^-1 g / 2 from below: with an
-        # unreachable target they return it to the fit's tolerance, and with
-        # a small one they stop early on a value that is already above it.
-        # That value is at most the decrement, up to rounding: for the binary
-        # loss the first preconditioned step is exact, so the early stop
-        # returns the decrement itself.  The coupled losses' H is singular
-        # along the bias shift, which g has no part in: there the solve's
-        # answer is rounding, and g^T x is a pseudo-inverse's within 1e-14.
+        # Conjugate gradients sum up to g^T H^-1 g / 2 from below, and go on
+        # until a step adds at most 1% of the distance to the target: a target
+        # 1% or 1e-6 above the decrement is certified and one below it is
+        # refuted, so the check tells the two apart to 1e-6.  A small target
+        # is passed at once, on a value that is still at most the decrement,
+        # up to rounding: for the binary loss the first preconditioned step
+        # is exact, so that value is the decrement itself.  The coupled
+        # losses' H is singular along the bias shift, which g has no part in:
+        # there the solve's answer is rounding, and g^T x is a
+        # pseudo-inverse's within 1e-14.
         rng = np.random.default_rng(2)
         data = random_problem(rng, n=40, d=5, k=6)
         theta = rng.normal(scale=0.5, size=6 * 6)
-        decrement, grad = decrement_at(theta, data, 1e-2, loss_kind, 1e-8, np.inf)
+        grad = flat_objective(theta, data, 1e-2, loss_kind)[1]
         H = dense_hessian(theta, data, 1e-2, loss_kind)
         exact = 0.5 * grad @ np.linalg.solve(0.5 * (H + H.T), grad)
-        assert decrement == pytest.approx(exact, rel=1e-6)
-        early = decrement_at(theta, data, 1e-2, loss_kind, 1e-8, 0.1 * exact)[0]
+        assert_check_brackets(theta, data, 1e-2, loss_kind, exact)
+        assert_check_brackets(theta, data, 1e-2, loss_kind, exact, slack=1e-6)
+        early = decrement_at(theta, data, 1e-2, loss_kind, 0.1 * exact)[0]
         assert 0.1 * exact < early <= (1.0 + 1e-12) * exact
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_one_preconditioned_step_is_exact_for_the_binary_loss(self, loss_kind):
         # The binary loss's Hessian is its K diagonal blocks (c = 0), so the
-        # preconditioner is its inverse and the first step solves H x = g.
-        # tol = 1 stops CG after that step; the coupled losses need more.
+        # preconditioner is its inverse and the first step solves H x = g:
+        # its iterate is the Newton step, up to the ridge, 1e-8 of the
+        # smallest curvature lam here.  An unreachable target stops CG
+        # after that step (1% of |target - sum| is infinite); the coupled
+        # losses need more.
         rng = np.random.default_rng(2)
         data = random_problem(rng, n=40, d=5, k=6)
         theta = rng.normal(scale=0.5, size=6 * 6)
-        one_step, grad = decrement_at(theta, data, 1e-2, loss_kind, 1.0, np.inf)
+        one_step, x, grad = decrement_at(theta, data, 1e-2, loss_kind, np.inf)
         H = dense_hessian(theta, data, 1e-2, loss_kind)
-        exact = 0.5 * grad @ np.linalg.solve(0.5 * (H + H.T), grad)
+        newton = np.linalg.solve(0.5 * (H + H.T), grad)
+        exact = 0.5 * grad @ newton
+        assert_check_brackets(theta, data, 1e-2, loss_kind, exact)
         if loss_kind == LOSS_BINARY_LOGISTIC:
             assert one_step == pytest.approx(exact, rel=1e-12)
+            np.testing.assert_allclose(x, newton, rtol=1e-7)
         else:
             assert one_step < (1.0 - 1e-3) * exact
 
@@ -522,12 +548,13 @@ class TestHessian:
             X[:, 1] = X[:, 0]
             data = LabeledDataset(X=X, Q=data.Q)
         theta = theta.ravel()
-        decrement, grad = decrement_at(theta, data, lam, loss_kind, 1e-10, np.inf)
+        grad = flat_objective(theta, data, lam, loss_kind)[1]
         H = dense_hessian(theta, data, lam, loss_kind)
         exact = 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
         assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() < 1e-9
-        assert grad.any() and decrement > 0.0
-        assert decrement == pytest.approx(exact, rel=1e-6)
+        assert grad.any() and exact > 0.0
+        assert_check_brackets(theta, data, lam, loss_kind, exact)
+        assert_check_brackets(theta, data, lam, loss_kind, exact, slack=1e-6)
         if case == "ridge-only block":
             X, XT, reg = design(data, lam)
             inverse = _block_inverse(*curvature_rows(_scores(theta, XT), loss_kind), XT, reg)
@@ -539,7 +566,8 @@ class TestHessian:
         data = random_problem(rng, n=10, d=2, k=3)
         theta = rng.normal(size=3 * 3)
         X, XT, reg = design(data, 0.0)
-        assert _newton_decrement(theta, np.zeros(9), X, XT, reg, LOSS_SPARSEMAX, 1e-6, 0.0) == 0.0
+        decrement, x = _newton_decrement(theta, np.zeros(9), X, XT, reg, LOSS_SPARSEMAX, 0.0)
+        assert decrement == 0.0 and not x.any()
 
 
 class TestFit:
@@ -661,11 +689,12 @@ class TestFit:
         reported = float(message.split("|grad J| ")[1].split(",")[0])
         assert reported == pytest.approx(np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2)), rel=1e-2)
         # Cut after a decrement was computed but before one passed (at this
-        # tolerance the first comes at iteration 20, the fit converges at
-        # 22), it reports the last, a lower bound that failed the target.
+        # tolerance the first comes at iteration 20 and fails, and the fit
+        # converges at 21 on its Newton step), it reports the last, a lower
+        # bound that failed the target.
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
-            model = fit(data, TrainConfig(lam=1e-3, max_epochs=21, convergence_tol=1e-6), LOSS_SPARSEMAX)
+            model = fit(data, TrainConfig(lam=1e-3, max_epochs=20, convergence_tol=1e-6), LOSS_SPARSEMAX)
         (record,) = caplog.records
         decrement = float(record.getMessage().split("last Newton decrement at least ")[1])
         assert decrement > 1e-6 * objective_at(model, data, 1e-3, LOSS_SPARSEMAX)[0]
@@ -678,10 +707,10 @@ class TestFit:
         # A warm-started lam path like the experiments' cross-validation, at a
         # tolerance of 1e-6, over all three losses.  Each decrement check
         # builds one set of blocks, and the free L-BFGS estimate gates the
-        # checks, so there are few of either, and the preconditioned CG
-        # needs few products a check.
-        # The bounds are about 10% above the 725 iterations, 36 checks, 137
-        # products and 36 block builds this path takes.
+        # checks, so there are few of either; the preconditioned CG needs few
+        # products a check, and a failed check's Newton step ends most fits.
+        # The bounds are about 10% above the 431 iterations, 30 checks, 61
+        # products and 30 block builds this path takes.
         checks = []
         products = []
         blocks = []
@@ -711,10 +740,10 @@ class TestFit:
                 model = fit(data, TrainConfig(lam=lam, max_epochs=1000, convergence_tol=1e-6), loss_kind, init=init, history=history)
                 init = (model.W, model.b)
                 iterations += len(history) - 1
-        assert iterations <= 795
-        assert len(checks) <= 39
-        assert len(products) <= 150
-        assert len(blocks) <= 39
+        assert iterations <= 474
+        assert len(checks) <= 33
+        assert len(products) <= 67
+        assert len(blocks) <= 33
 
     def test_underflowing_gradient_change_is_not_stored(self, caplog):
         # Label 1 is on in every row, so at lam = 0 its unregularized bias runs
@@ -762,11 +791,28 @@ class TestFit:
         loss_kind=st.sampled_from(ALL_LOSSES),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n=6, d=3, k=5, scale=1.0, lam=1e-6, loss_kind=LOSS_SPARSEMAX, seed=3226449450)
+    @example(n=8, d=3, k=4, scale=3.0, lam=1e-6, loss_kind=LOSS_LOGISTIC, seed=4062525584)
+    @example(n=5, d=2, k=5, scale=1.0, lam=1e-7, loss_kind=LOSS_SPARSEMAX, seed=3266202593)
+    @example(n=8, d=2, k=2, scale=3.0, lam=1e-8, loss_kind=LOSS_BINARY_LOGISTIC, seed=1705752033)
+    @example(n=6, d=3, k=2, scale=3.0, lam=1e-8, loss_kind=LOSS_BINARY_LOGISTIC, seed=3222654597)
+    @example(n=6, d=4, k=2, scale=1.0, lam=0.0, loss_kind=LOSS_SPARSEMAX, seed=2459356917)
     def test_a_converged_fit_is_certified_by_the_exact_decrement(self, n, d, k, scale, lam, loss_kind, seed):
         # A fit that returns without a warning has a Newton decrement of at
         # most the target: g^T H^+ g / 2 of the exact Hessian, with 1% slack
         # for the dense solve.  Targets are sparse: each row puts Dirichlet
         # mass on about half of the labels, one at least.
+        # The explicit examples are draws on which the check's CG, stopped
+        # once a step adds at most 1% of |target - sum|, passed 1.1-2.9 x the
+        # target: its steps added a little and then much more.  In the first
+        # three H's smallest curvatures lie along the shift of every label's
+        # row of [W b] by one u, flat for the coupled losses but for the
+        # penalty, which the preconditioner's blocks miss and its shift term
+        # does not.  In the binary two a saturated bias curves J less than an
+        # absolute ridge of 1e-10 would; the ridge is relative to each
+        # diagonal entry.  In the last J is about 2e-34 and H is rounding:
+        # CG met curvatures that were not positive, and summed them below
+        # the target (README.md, Stopping rule).
         rng = np.random.default_rng(seed)
         on = rng.random((n, k)) < 0.5
         on[np.arange(n), rng.integers(0, k, size=n)] = True
@@ -803,14 +849,38 @@ class TestFit:
         # takes J from 0.087 to 8e7, and after 30 halvings J is still above
         # its start (a cap of 30 gave up at iteration 0 with W = 0).  The line
         # search halves for as long as J can still show the predicted fall.
-        rng = np.random.default_rng(0)
-        X = np.column_stack([rng.poisson(5.0, 200) * 1e4, rng.normal(size=200)])
-        data = LabeledDataset(X=X, Q=rng.dirichlet(np.ones(3), size=200))
+        data = raw_count_column_problem()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
             model = fit(data, TrainConfig(lam=1e-3), LOSS_SPARSEMAX)
         assert caplog.records == []
         value = objective_at(model, data, 1e-3, LOSS_SPARSEMAX)[0]
         assert abs(value - scipy_optimum(data, 1e-3, LOSS_SPARSEMAX)) <= 1e-6
+
+    def test_logistic_fit_on_a_raw_count_column_reaches_the_optimum(self, caplog):
+        # On the same data L-BFGS alone crawls: it stopped at the cap of 100
+        # iterations with |grad J| 0.136.  The first failed check's Newton
+        # step ends the fit in 8.
+        data = raw_count_column_problem()
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            model = fit(data, TrainConfig(lam=1e-3), LOSS_LOGISTIC)
+        assert caplog.records == []
+        value = objective_at(model, data, 1e-3, LOSS_LOGISTIC)[0]
+        assert abs(value - scipy_optimum(data, 1e-3, LOSS_LOGISTIC)) <= 1e-6
+
+    def test_binary_fit_on_a_raw_count_column_is_not_certified_on_its_rounding(self, caplog):
+        # On the same data the binary fit falls to J ~ 2e-14, where the
+        # rounding of its on-label term leaves no trial step that decreases
+        # J.  The check fit then makes at theta finds a decrement of about
+        # 1e-15 against a target of about 2e-21, so the fit must still warn.
+        data = raw_count_column_problem()
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            model = fit(data, TrainConfig(lam=1e-3), LOSS_BINARY_LOGISTIC)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert "no trial step passes the line search" in message
+        decrement = float(message.split("last Newton decrement at least ")[1])
+        value = objective_at(model, data, 1e-3, LOSS_BINARY_LOGISTIC)[0]
+        assert decrement >= 1e-15 > 1e5 * 1e-7 * value
 
     def test_regularization_shrinks_weights(self):
         data = separable_line()

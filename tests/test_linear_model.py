@@ -418,19 +418,19 @@ def exact_decrement(model, data, lam, loss_kind):
     return value, 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
 
 
-def decrement_at(theta, data, lam, loss_kind, target):
+def decrement_at(theta, data, lam, loss_kind, tol, target):
     """fit's decrement check at theta, on the objective's own gradient: (its value, its CG
     iterate x of H x = g, the gradient)."""
     X, XT, reg = design(data, lam)
     grad = _objective(theta, X, XT, data.Q, reg, loss_kind)[1]
-    return (*_newton_decrement(theta, grad, X, XT, reg, loss_kind, target), grad)
+    return (*_newton_decrement(theta, grad, X, XT, reg, loss_kind, tol, target), grad)
 
 
-def assert_check_brackets(theta, data, lam, loss_kind, exact, slack=1e-2):
+def assert_check_brackets(theta, data, lam, loss_kind, tol, exact, slack=1e-2):
     """fit's check at theta certifies a target of (1 + slack) times the exact decrement, refutes
     one of (1 - slack) times it, and never returns more than it, up to rounding."""
     for factor in (1.0 + slack, 1.0 - slack):
-        decrement = decrement_at(theta, data, lam, loss_kind, factor * exact)[0]
+        decrement = decrement_at(theta, data, lam, loss_kind, tol, factor * exact)[0]
         assert (decrement <= factor * exact) == (factor > 1.0)
         assert decrement <= (1.0 + 1e-12) * exact
 
@@ -471,25 +471,26 @@ class TestHessian:
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_decrement_matches_a_dense_solve(self, loss_kind):
-        # Conjugate gradients sum up to g^T H^-1 g / 2 from below, and go on
-        # until a step adds at most 1% of the distance to the target: a target
-        # 1% or 1e-6 above the decrement is certified and one below it is
-        # refuted, so the check tells the two apart to 1e-6.  A small target
-        # is passed at once, on a value that is still at most the decrement,
-        # up to rounding: for the binary loss the first preconditioned step
-        # is exact, so that value is the decrement itself.  The coupled
-        # losses' H is singular along the bias shift, which g has no part in:
-        # there the solve's answer is rounding, and g^T x is a
-        # pseudo-inverse's within 1e-14.
+        # Conjugate gradients sum up to g^T H^-1 g / 2 from below: with an
+        # unreachable target they return it to the fit's tolerance, so a
+        # target 1% or 1e-6 above the decrement is certified and one below
+        # it is refuted.  Past a small target they go on until a step adds
+        # at most 1% of the sum's excess over it, on a value that is still
+        # at most the decrement, up to rounding: for the binary loss the
+        # first preconditioned step is exact, so that value is the decrement
+        # itself.  The coupled losses' H is singular along the bias shift,
+        # which g has no part in: there the solve's answer is rounding, and
+        # g^T x is a pseudo-inverse's within 1e-14.
         rng = np.random.default_rng(2)
         data = random_problem(rng, n=40, d=5, k=6)
         theta = rng.normal(scale=0.5, size=6 * 6)
-        grad = flat_objective(theta, data, 1e-2, loss_kind)[1]
+        decrement, _, grad = decrement_at(theta, data, 1e-2, loss_kind, 1e-8, np.inf)
         H = dense_hessian(theta, data, 1e-2, loss_kind)
         exact = 0.5 * grad @ np.linalg.solve(0.5 * (H + H.T), grad)
-        assert_check_brackets(theta, data, 1e-2, loss_kind, exact)
-        assert_check_brackets(theta, data, 1e-2, loss_kind, exact, slack=1e-6)
-        early = decrement_at(theta, data, 1e-2, loss_kind, 0.1 * exact)[0]
+        assert decrement == pytest.approx(exact, rel=1e-6)
+        assert_check_brackets(theta, data, 1e-2, loss_kind, 1e-8, exact)
+        assert_check_brackets(theta, data, 1e-2, loss_kind, 1e-8, exact, slack=1e-6)
+        early = decrement_at(theta, data, 1e-2, loss_kind, 1e-8, 0.1 * exact)[0]
         assert 0.1 * exact < early <= (1.0 + 1e-12) * exact
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
@@ -497,17 +498,16 @@ class TestHessian:
         # The binary loss's Hessian is its K diagonal blocks (c = 0), so the
         # preconditioner is its inverse and the first step solves H x = g:
         # its iterate is the Newton step, up to the ridge, 1e-8 of the
-        # smallest curvature lam here.  An unreachable target stops CG
-        # after that step (1% of |target - sum| is infinite); the coupled
-        # losses need more.
+        # smallest curvature lam here.  tol = 1 stops CG after that step;
+        # the coupled losses need more.
         rng = np.random.default_rng(2)
         data = random_problem(rng, n=40, d=5, k=6)
         theta = rng.normal(scale=0.5, size=6 * 6)
-        one_step, x, grad = decrement_at(theta, data, 1e-2, loss_kind, np.inf)
+        one_step, x, grad = decrement_at(theta, data, 1e-2, loss_kind, 1.0, np.inf)
         H = dense_hessian(theta, data, 1e-2, loss_kind)
         newton = np.linalg.solve(0.5 * (H + H.T), grad)
         exact = 0.5 * grad @ newton
-        assert_check_brackets(theta, data, 1e-2, loss_kind, exact)
+        assert_check_brackets(theta, data, 1e-2, loss_kind, 1e-8, exact)
         if loss_kind == LOSS_BINARY_LOGISTIC:
             assert one_step == pytest.approx(exact, rel=1e-12)
             np.testing.assert_allclose(x, newton, rtol=1e-7)
@@ -548,13 +548,14 @@ class TestHessian:
             X[:, 1] = X[:, 0]
             data = LabeledDataset(X=X, Q=data.Q)
         theta = theta.ravel()
-        grad = flat_objective(theta, data, lam, loss_kind)[1]
+        decrement, _, grad = decrement_at(theta, data, lam, loss_kind, 1e-10, np.inf)
         H = dense_hessian(theta, data, lam, loss_kind)
         exact = 0.5 * grad @ np.linalg.pinv(0.5 * (H + H.T), rcond=1e-8, hermitian=True) @ grad
         assert np.linalg.eigvalsh(0.5 * (H + H.T)).min() < 1e-9
-        assert grad.any() and exact > 0.0
-        assert_check_brackets(theta, data, lam, loss_kind, exact)
-        assert_check_brackets(theta, data, lam, loss_kind, exact, slack=1e-6)
+        assert grad.any() and decrement > 0.0
+        assert decrement == pytest.approx(exact, rel=1e-6)
+        assert_check_brackets(theta, data, lam, loss_kind, 1e-10, exact)
+        assert_check_brackets(theta, data, lam, loss_kind, 1e-10, exact, slack=1e-6)
         if case == "ridge-only block":
             X, XT, reg = design(data, lam)
             inverse = _block_inverse(*curvature_rows(_scores(theta, XT), loss_kind), XT, reg)
@@ -566,7 +567,7 @@ class TestHessian:
         data = random_problem(rng, n=10, d=2, k=3)
         theta = rng.normal(size=3 * 3)
         X, XT, reg = design(data, 0.0)
-        decrement, x = _newton_decrement(theta, np.zeros(9), X, XT, reg, LOSS_SPARSEMAX, 0.0)
+        decrement, x = _newton_decrement(theta, np.zeros(9), X, XT, reg, LOSS_SPARSEMAX, 1e-6, 0.0)
         assert decrement == 0.0 and not x.any()
 
 
@@ -707,10 +708,9 @@ class TestFit:
         # A warm-started lam path like the experiments' cross-validation, at a
         # tolerance of 1e-6, over all three losses.  Each decrement check
         # builds one set of blocks, and the free L-BFGS estimate gates the
-        # checks, so there are few of either; the preconditioned CG needs few
-        # products a check, and a failed check's Newton step ends most fits.
-        # The bounds are about 10% above the 431 iterations, 30 checks, 61
-        # products and 30 block builds this path takes.
+        # checks, so there are few of either; a failed check's Newton step
+        # ends most fits.  The bounds are about 10% above the 431 iterations,
+        # 30 checks, 121 products and 30 block builds this path takes.
         checks = []
         products = []
         blocks = []
@@ -742,7 +742,7 @@ class TestFit:
                 iterations += len(history) - 1
         assert iterations <= 474
         assert len(checks) <= 33
-        assert len(products) <= 67
+        assert len(products) <= 133
         assert len(blocks) <= 33
 
     def test_underflowing_gradient_change_is_not_stored(self, caplog):
@@ -796,23 +796,22 @@ class TestFit:
     @example(n=5, d=2, k=5, scale=1.0, lam=1e-7, loss_kind=LOSS_SPARSEMAX, seed=3266202593)
     @example(n=8, d=2, k=2, scale=3.0, lam=1e-8, loss_kind=LOSS_BINARY_LOGISTIC, seed=1705752033)
     @example(n=6, d=3, k=2, scale=3.0, lam=1e-8, loss_kind=LOSS_BINARY_LOGISTIC, seed=3222654597)
+    @example(n=12, d=4, k=10, scale=1.0, lam=1e-7, loss_kind=LOSS_SPARSEMAX, seed=3500845400)
+    @example(n=7, d=2, k=17, scale=1.0, lam=1e-8, loss_kind=LOSS_BINARY_LOGISTIC, seed=4180427636)
     @example(n=6, d=4, k=2, scale=1.0, lam=0.0, loss_kind=LOSS_SPARSEMAX, seed=2459356917)
     def test_a_converged_fit_is_certified_by_the_exact_decrement(self, n, d, k, scale, lam, loss_kind, seed):
         # A fit that returns without a warning has a Newton decrement of at
         # most the target: g^T H^+ g / 2 of the exact Hessian, with 1% slack
         # for the dense solve.  Targets are sparse: each row puts Dirichlet
         # mass on about half of the labels, one at least.
-        # The explicit examples are draws on which the check's CG, stopped
-        # once a step adds at most 1% of |target - sum|, passed 1.1-2.9 x the
-        # target: its steps added a little and then much more.  In the first
-        # three H's smallest curvatures lie along the shift of every label's
-        # row of [W b] by one u, flat for the coupled losses but for the
-        # penalty, which the preconditioner's blocks miss and its shift term
-        # does not.  In the binary two a saturated bias curves J less than an
-        # absolute ridge of 1e-10 would; the ridge is relative to each
-        # diagonal entry.  In the last J is about 2e-34 and H is rounding:
-        # CG met curvatures that were not positive, and summed them below
-        # the target (README.md, Stopping rule).
+        # All but the last explicit example are draws on which a check whose
+        # CG also stopped below the target once a step added at most 1% of
+        # target - sum passed a fit at 1.1 to 2.9e5 x its target: its steps
+        # added a little and then much more (two have 10 and 17 labels,
+        # outside the drawn range).  Below the target CG now stops only once
+        # a step adds at most tol of the sum.  In the last, J is about 2e-34
+        # and H is rounding: CG met curvatures that were not positive, and
+        # summed them below the target (README.md, Stopping rule).
         rng = np.random.default_rng(seed)
         on = rng.random((n, k)) < 0.5
         on[np.arange(n), rng.integers(0, k, size=n)] = True
@@ -858,8 +857,8 @@ class TestFit:
 
     def test_logistic_fit_on_a_raw_count_column_reaches_the_optimum(self, caplog):
         # On the same data L-BFGS alone crawls: it stopped at the cap of 100
-        # iterations with |grad J| 0.136.  The first failed check's Newton
-        # step ends the fit in 8.
+        # iterations with |grad J| 0.136.  The failed checks' Newton steps
+        # end the fit in 10.
         data = raw_count_column_problem()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
             model = fit(data, TrainConfig(lam=1e-3), LOSS_LOGISTIC)
@@ -870,8 +869,8 @@ class TestFit:
     def test_binary_fit_on_a_raw_count_column_is_not_certified_on_its_rounding(self, caplog):
         # On the same data the binary fit falls to J ~ 2e-14, where the
         # rounding of its on-label term leaves no trial step that decreases
-        # J.  The check fit then makes at theta finds a decrement of about
-        # 1e-15 against a target of about 2e-21, so the fit must still warn.
+        # J.  The check fit then makes at theta finds a decrement of 1.04e-15,
+        # the dense one, against a target of 2.2e-21, so the fit must still warn.
         data = raw_count_column_problem()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
             model = fit(data, TrainConfig(lam=1e-3), LOSS_BINARY_LOGISTIC)

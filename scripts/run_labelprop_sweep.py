@@ -71,13 +71,11 @@ def main(argv=None) -> int:
     else:
         out_path = Path(args.out)
 
-    config = build_config(args)
+    config = {**build_config(args), "seed": args.seed}
     config_path = out_path.with_suffix(".config.json")
     config_path.write_text(json.dumps(config, indent=2) + "\n")
 
-    code = cli_main(
-        ["labelprop", "--config", str(config_path), "--out", str(out_path), "--seed", str(args.seed)]
-    )
+    code = cli_main(["labelprop", "--config", str(config_path), "--out", str(out_path)])
     if code != 0:
         return code
     payload = json.loads(out_path.read_text())

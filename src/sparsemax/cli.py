@@ -12,9 +12,9 @@ Result files are schema-stable JSON objects with keys config_echo,
 per_cell_results and wall_time_seconds, written with sorted keys so that
 reruns with the same seed are byte-identical.  The measured wall time is
 logged to stderr instead of being embedded, precisely to keep that
-byte-level determinism; the field stays in the schema as null.  The
-environment variable SPARSEMAX_SEED overrides the default seed of 0 when
-neither the command line nor a config file provides one.
+byte-level determinism; the field stays in the schema as null.  Each
+command takes its seed from one place: labelprop from its config's seed,
+multilabel from --seed; 0 by default.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import argparse
 import copy
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import replace
@@ -45,8 +44,6 @@ from .simplex import check_scores, softmax, softmax_rows, sparsemax, sparsemax_r
 
 logger = logging.getLogger(__name__)
 
-ENV_SEED = "SPARSEMAX_SEED"
-
 LAMBDA_GRID_LABELPROP = [10.0**j for j in range(-9, 1)]
 LAMBDA_GRID_MULTILABEL = [10.0**j for j in range(-8, 3)]
 
@@ -59,7 +56,7 @@ METHODS = {
 
 _REQUIRED = object()
 # labelprop config key -> (kind, default).  A kind in brackets is a non-empty
-# list of that kind; a seed left out falls back as _seed says.
+# list of that kind.
 _LABELPROP_KEYS = {
     "n_labels": (int, _REQUIRED),
     "n_train": (int, _REQUIRED),
@@ -69,7 +66,7 @@ _LABELPROP_KEYS = {
     "mixtures": ([str], [SyntheticConfig.mixture]),
     "losses": ([str], [LOSS_LOGISTIC, LOSS_SPARSEMAX]),
     "folds": (int, 5),
-    "seed": (int, None),
+    "seed": (int, 0),
     "lambdas": ([float], LAMBDA_GRID_LABELPROP),
     "max_epochs": (int, 200),
 }
@@ -104,17 +101,6 @@ def _labelprop_settings(config) -> dict:
         key: _checked(key, kind, config[key]) if key in config else copy.copy(default)
         for key, (kind, default) in _LABELPROP_KEYS.items()
     }
-
-
-def _seed(flag: int | None, configured: int | None = None) -> int:
-    """The run's seed: the --seed flag, then the config's, then SPARSEMAX_SEED, then 0."""
-    if flag is not None or configured is not None:
-        return flag if flag is not None else configured
-    raw = os.environ.get(ENV_SEED, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _floats_arg(text: str) -> list[float]:
@@ -208,19 +194,15 @@ def _cell_seed(seed: int, mixture_index: int, length_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_labelprop(config: dict, seed: int | None = None) -> dict:
-    """The sweep config describes (keys and defaults in _LABELPROP_KEYS): {"config_echo", "per_cell_results"}.
-
-    seed, when given, takes the place of the config's seed."""
+def run_labelprop(config: dict) -> dict:
+    """The sweep config describes (keys and defaults in _LABELPROP_KEYS): {"config_echo", "per_cell_results"}."""
     settings = _labelprop_settings(config)
     for loss in settings["losses"]:
         if loss not in (LOSS_LOGISTIC, LOSS_SPARSEMAX):
             raise ValueError(f"labelprop supports logistic and sparsemax losses, got {loss!r}")
-    seed = _seed(seed, settings["seed"])
     train_cfg = TrainConfig(max_epochs=settings["max_epochs"])
-    echo = {**settings, "seed": seed, **_training_echo(train_cfg)}
+    echo = {**settings, **_training_echo(train_cfg)}
     cells = []
-    cell_index = 0
     for mi, mixture in enumerate(echo["mixtures"]):
         for li, length in enumerate(echo["doc_lengths"]):
             data_cfg = SyntheticConfig(
@@ -230,7 +212,7 @@ def run_labelprop(config: dict, seed: int | None = None) -> dict:
                 mean_doc_length=float(length),
                 mean_labels=echo["mean_labels"],
                 mixture=mixture,
-                seed=_cell_seed(seed, mi, li),
+                seed=_cell_seed(echo["seed"], mi, li),
             )
             train, test = generate_synthetic(data_cfg)
             train, test = standardize_features(train, test)
@@ -244,7 +226,7 @@ def run_labelprop(config: dict, seed: int | None = None) -> dict:
                 predicted = proportions(predict_scores(model, test.X))
                 cells.append(
                     {
-                        "cell_index": cell_index,
+                        "cell_index": len(cells),
                         "mixture": mixture,
                         "doc_length": length,
                         "loss": loss,
@@ -255,7 +237,6 @@ def run_labelprop(config: dict, seed: int | None = None) -> dict:
                         "n_test": test.n_examples,
                     }
                 )
-                cell_index += 1
     return {"config_echo": echo, "per_cell_results": cells}
 
 
@@ -263,7 +244,7 @@ def cmd_labelprop(args) -> int:
     started = time.monotonic()
     with open(args.config) as fh:
         config = json.load(fh)
-    result = run_labelprop(config, args.seed)
+    result = run_labelprop(config)
     _write_result(args.out, result["config_echo"], result["per_cell_results"])
     logger.info("labelprop sweep finished in %.2f s", time.monotonic() - started)
     return 0
@@ -279,7 +260,6 @@ def _pad_dataset(ds: LabeledDataset, n_labels: int, n_features: int) -> LabeledD
 
 def cmd_multilabel(args) -> int:
     started = time.monotonic()
-    seed = _seed(args.seed)
     train_cfg = TrainConfig(max_epochs=args.max_epochs)
     train = read_libsvm_multilabel(args.train)
     test = read_libsvm_multilabel(args.test)
@@ -297,7 +277,7 @@ def cmd_multilabel(args) -> int:
         return micro_macro_f1_rows(decide_rows(scores, DecisionRule(kind=rule_kind, param=param)), split.Q > 0.0)
 
     model, best_lam, best_param = _select_and_fit(
-        train, [(lam, p) for lam in args.lambdas for p in rule_params], args.folds, seed, train_cfg, loss_kind,
+        train, [(lam, p) for lam in args.lambdas for p in rule_params], args.folds, args.seed, train_cfg, loss_kind,
         lambda va, val_scores, param: f1(va, val_scores, param)[0],
     )
     micro, macro = f1(test, predict_scores(model, test.X), best_param)
@@ -315,7 +295,7 @@ def cmd_multilabel(args) -> int:
         "train": str(args.train),
         "test": str(args.test),
         "method": args.method,
-        "seed": seed,
+        "seed": args.seed,
         "folds": args.folds,
         "lambdas": args.lambdas,
         "rule_params": rule_params,
@@ -339,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lp = sub.add_parser("labelprop", help="synthetic label-proportion sweep")
     p_lp.add_argument("--config", required=True, help="JSON sweep configuration")
     p_lp.add_argument("--out", required=True, help="result JSON path")
-    p_lp.add_argument("--seed", type=int, default=None)
     p_lp.set_defaults(func=cmd_labelprop)
 
     p_ml = sub.add_parser("multilabel", help="multi-label benchmark on LIBSVM files")
@@ -347,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ml.add_argument("--test", required=True)
     p_ml.add_argument("--method", required=True, choices=sorted(METHODS))
     p_ml.add_argument("--out", required=True)
-    p_ml.add_argument("--seed", type=int, default=None)
+    p_ml.add_argument("--seed", type=int, default=0)
     p_ml.add_argument("--folds", type=int, default=5)
     p_ml.add_argument("--lambdas", type=_floats_arg, default=LAMBDA_GRID_MULTILABEL)
     p_ml.add_argument("--rule-params", type=_floats_arg, default=None)

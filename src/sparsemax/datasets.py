@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simplex import check_distribution_rows
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -115,12 +117,9 @@ class LabeledDataset:
             raise ValueError("X and Q must be two-dimensional")
         if self.X.shape[0] != self.Q.shape[0] or self.X.shape[0] == 0:
             raise ValueError("X and Q must have the same positive number of rows")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Q))):
+        if not np.all(np.isfinite(self.X)):
             raise ValueError("dataset must contain only finite values")
-        if np.any(self.Q < 0.0):
-            raise ValueError("target distributions must be nonnegative")
-        if np.any(np.abs(self.Q.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("every target distribution must sum to 1")
+        check_distribution_rows(self.Q)
 
     @property
     def n_examples(self) -> int:

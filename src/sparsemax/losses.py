@@ -89,8 +89,8 @@ def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
                expanded form -<q, z> + sum_S (z_j^2 - tau^2) / 2 +
                ||q||^2 / 2 would cancel catastrophically once one score
                wins by a margin over 1 and can land an ulp below zero.
-    independent-binary-logistic: sum_k log(1 + e^z_k) - [q_k > 0] z_k;
-               gradient sigmoid(z) - [q > 0].
+    independent-binary-logistic: sum_k log(1 + e^-z_k) where q_k > 0, else
+               log(1 + e^z_k), nonnegative at any |z|; gradient sigmoid(z) - [q > 0].
     """
     if loss_kind == LOSS_LOGISTIC:
         p, lse = softmax_logsumexp_rows(scores)
@@ -104,8 +104,8 @@ def loss_rows(scores: np.ndarray, targets: np.ndarray, loss_kind: str):
         below = np.maximum(tau - shifted, 0.0)
         values = 0.5 * (grads * grads).sum(axis=-1) + (targets * below).sum(axis=-1)
     elif loss_kind == LOSS_BINARY_LOGISTIC:
-        on = (targets > 0).astype(np.float64)
-        values = (np.logaddexp(0.0, scores) - on * scores).sum(axis=-1)
+        on = targets > 0
+        values = np.logaddexp(0.0, np.where(on, -scores, scores)).sum(axis=-1)
         grads = sigmoid(scores) - on
     else:
         raise ValueError(f"unknown loss kind {loss_kind!r}")

@@ -17,7 +17,8 @@ each row; the 1-D kernel sorts nothing and runs Michelot's fixed point on
 the candidates.  On one row of K = 10 the row kernel takes 38 against
 11 us (README.md).
 ``check_scores`` and ``check_distribution`` validate the 1-D inputs of
-this module, ``losses``, ``jacobians`` and ``metrics``.
+this module, ``losses``, ``jacobians`` and ``metrics``, and
+``check_distribution_rows``, its row form, the targets of ``datasets``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "SupportSet",
     "check_scores",
     "check_distribution",
+    "check_distribution_rows",
     "softmax",
     "softmax_rows",
     "softmax_logsumexp_rows",
@@ -51,22 +53,26 @@ def check_scores(z) -> np.ndarray:
     return z
 
 
-def check_distribution(p, dim: int | None = None) -> np.ndarray:
-    """p as a float64 point of the simplex; ValueError unless it is one.
-
-    p must be 1-D and non-empty, of length dim when dim is given, finite,
-    nonnegative, and sum to 1 within 1e-9.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("distribution must be one-dimensional and non-empty")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"distribution length {p.size} does not match length {dim}")
-    if not np.all(np.isfinite(p)):
+def check_distribution_rows(P, dim: int | None = None) -> np.ndarray:
+    """P as float64 rows of the simplex, (N, K) or one (K,); ValueError unless each row is
+    non-empty, of length dim when dim is given, finite, nonnegative and sums to 1 within 1e-9."""
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim == 0 or P.shape[-1] == 0:
+        raise ValueError("distribution must be non-empty")
+    if dim is not None and P.shape[-1] != dim:
+        raise ValueError(f"distribution length {P.shape[-1]} does not match length {dim}")
+    if not np.isfinite(P).all():
         raise ValueError("distribution must contain only finite values")
-    if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+    if (P < 0.0).any() or (abs(P.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("distribution must be nonnegative and sum to 1")
-    return p
+    return P
+
+
+def check_distribution(p, dim: int | None = None) -> np.ndarray:
+    """p as a float64 point of the simplex: one 1-D row of :func:`check_distribution_rows`."""
+    if np.ndim(p) != 1:
+        raise ValueError("distribution must be one-dimensional")
+    return check_distribution_rows(p, dim)
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,14 @@ def brute_force_projection(z) -> np.ndarray:
     projection uniquely.  Feasibility uses a hairline tolerance: at an
     exact splitting point the rounded threshold can violate both the
     including and the excluding support by one ulp, which would otherwise
-    leave no candidate at all.  Among the near-feasible candidates the one
-    closest to z wins.  Cost grows as 2^K; intended as an independent
-    cross-check for :func:`sparsemax`, not for production use.
+    leave no candidate at all.  The threshold is rounded at the scale of
+    the candidate's own scores, so its tolerance is 1e-9 times the largest
+    |z_i| on that support (at least 1).  A far score off the support must
+    not widen it: on [1, 1, 2.00001, -3334], 1e-9 * 3334 would admit the
+    support {0, 1, 2}, whose threshold lies 3.3e-6 above the scores 1.
+    Among the near-feasible candidates the one closest to z wins.  Cost
+    grows as 2^K; intended as an independent cross-check for
+    :func:`sparsemax`, not for production use.
     """
     z = check_scores(z)
     dim = z.size
@@ -92,7 +97,7 @@ def brute_force_projection(z) -> np.ndarray:
     taus = (masks @ z - 1.0) / sizes
     gaps = z[None, :] - taus[:, None]
     candidates = gaps * masks
-    slack = 1e-9 * max(1.0, float(np.abs(z).max()))
+    slack = 1e-9 * np.maximum(1.0, (masks * np.abs(z)).max(axis=1, keepdims=True))
     ok_on = np.all(candidates >= -slack, axis=1)
     ok_off = np.all(gaps * (1.0 - masks) <= slack, axis=1)
     hits = np.nonzero(ok_on & ok_off)[0]

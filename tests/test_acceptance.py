@@ -240,8 +240,7 @@ def test_06_loss_property_suite():
     )
 
 
-def test_07_proportion_benchmark_ordering(tmp_path, monkeypatch):
-    monkeypatch.delenv("SPARSEMAX_SEED", raising=False)
+def test_07_proportion_benchmark_ordering(tmp_path):
     config = {
         "n_labels": 10,
         "n_train": 300,
@@ -280,37 +279,17 @@ def test_07_proportion_benchmark_ordering(tmp_path, monkeypatch):
     )
 
 
-def test_08_separable_multilabel_full_grid(tmp_path, monkeypatch):
-    monkeypatch.delenv("SPARSEMAX_SEED", raising=False)
-    cfg = SyntheticConfig(
-        n_labels=6, n_train=200, n_test=200, mean_doc_length=2000.0, mixture="uniform", seed=11
-    )
-    train, test = generate_synthetic(cfg)
-    train_path = tmp_path / "train.svm"
-    test_path = tmp_path / "test.svm"
-    write_libsvm_multilabel(train, train_path)
-    write_libsvm_multilabel(test, test_path)
-    started = time.monotonic()
+def test_08_separable_multilabel_full_grid(acceptance_08_runs):
+    # The runs are shared with tests/test_cli.py (tests/conftest.py).
     micro = {}
     in_range = True
     for method in ("logistic", "softmax", "sparsemax"):
-        out_path = tmp_path / f"{method}.json"
-        code = main(
-            [
-                "multilabel",
-                "--train", str(train_path),
-                "--test", str(test_path),
-                "--method", method,
-                "--out", str(out_path),
-                "--seed", "0",
-            ]
-        )
+        code, cell, _, _ = acceptance_08_runs[method]
         assert code == 0
-        cell = json.loads(out_path.read_text())["per_cell_results"][0]
         micro[method] = cell["micro_f1"]
         if not (0.0 <= cell["micro_f1"] <= 1.0 and 0.0 <= cell["macro_f1"] <= 1.0):
             in_range = False
-    elapsed = time.monotonic() - started
+    elapsed = sum(run[3] for run in acceptance_08_runs.values())
     ok = in_range and micro["sparsemax"] >= 0.95
     detail = (
         ", ".join(f"{m} micro-F1 {micro[m]:.4f}" for m in ("logistic", "softmax", "sparsemax"))
@@ -340,7 +319,6 @@ def test_09_jvp_cost_tracks_support_size():
 
 
 def test_10_cli_runs_are_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SPARSEMAX_SEED", raising=False)
     transform_outputs = []
     for _ in range(2):
         monkeypatch.setattr(sys, "stdin", io.StringIO("1.2 0.3 -4\n0 0\n"))

@@ -1,6 +1,5 @@
 import io
 import json
-import logging
 import re
 import sys
 from pathlib import Path
@@ -153,46 +152,21 @@ class TestLabelprop:
         assert run_cli(["labelprop", "--config", str(config), "--out", str(out_b)], capsys)[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_flag_seed_beats_config_seed(self, tmp_path, capsys, labelprop_config):
-        config = labelprop_config(seed=3)
-        out_path = tmp_path / "result.json"
-        code, _, _ = run_cli(
-            ["labelprop", "--config", str(config), "--out", str(out_path), "--seed", "9"],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(out_path.read_text())["config_echo"]["seed"] == 9
-
-    def test_env_seed_used_when_nothing_else_given(
-        self, tmp_path, capsys, monkeypatch, labelprop_config
-    ):
-        monkeypatch.setenv("SPARSEMAX_SEED", "5")
-        config = labelprop_config()
-        out_path = tmp_path / "result.json"
-        code, _, _ = run_cli(
-            ["labelprop", "--config", str(config), "--out", str(out_path)], capsys
-        )
-        assert code == 0
-        assert json.loads(out_path.read_text())["config_echo"]["seed"] == 5
-
-    def test_config_seed_beats_env_seed(self, tmp_path, capsys, monkeypatch, labelprop_config):
-        monkeypatch.setenv("SPARSEMAX_SEED", "5")
-        config = labelprop_config(seed=2)
-        out_path = tmp_path / "result.json"
-        code, _, _ = run_cli(
-            ["labelprop", "--config", str(config), "--out", str(out_path)], capsys
-        )
-        assert code == 0
-        assert json.loads(out_path.read_text())["config_echo"]["seed"] == 2
-
-    def test_bad_env_seed_is_an_error(self, tmp_path, capsys, monkeypatch, labelprop_config):
-        monkeypatch.setenv("SPARSEMAX_SEED", "abc")
-        config = labelprop_config()
-        code, _, err = run_cli(
-            ["labelprop", "--config", str(config), "--out", str(tmp_path / "r.json")], capsys
-        )
-        assert code == 2
-        assert "SPARSEMAX_SEED" in err
+    def test_seed_comes_from_the_config_alone(self, tmp_path, capsys, labelprop_config):
+        # A config without a seed runs with 0, byte for byte as one that says
+        # so; no flag can set it.
+        runs = {}
+        for name, overrides in (("default", {}), ("zero", {"seed": 0})):
+            runs[name] = tmp_path / f"{name}.json"
+            config = labelprop_config(**overrides)
+            code, _, _ = run_cli(["labelprop", "--config", str(config), "--out", str(runs[name])], capsys)
+            assert code == 0
+        assert json.loads(runs["default"].read_text())["config_echo"]["seed"] == 0
+        assert runs["default"].read_bytes() == runs["zero"].read_bytes()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["labelprop", "--config", str(labelprop_config()), "--out", str(tmp_path / "r.json"), "--seed", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys, labelprop_config):
         config = labelprop_config(bogus=1)
@@ -302,6 +276,7 @@ class TestMultilabel:
         assert 0.0 <= cell["micro_f1"] <= 1.0
         assert 0.0 <= cell["macro_f1"] <= 1.0
         assert payload["config_echo"]["standardize"] is True
+        assert payload["config_echo"]["seed"] == 0
 
     def test_grid_search_and_byte_identical_reruns(self, tmp_path, capsys, libsvm_pair):
         out_a = tmp_path / "a.json"
@@ -319,13 +294,6 @@ class TestMultilabel:
         assert payload["config_echo"]["lambdas"] == [0.001, 0.1]
         assert payload["per_cell_results"][0]["lambda"] in (0.001, 0.1)
         assert payload["per_cell_results"][0]["rule_param"] in (1.0, 2.0)
-
-    def test_env_seed_applies(self, tmp_path, capsys, monkeypatch, libsvm_pair):
-        monkeypatch.setenv("SPARSEMAX_SEED", "7")
-        out_path = tmp_path / "result.json"
-        argv = self.base_argv(libsvm_pair, out_path) + ["--lambdas", "0.01", "--rule-params", "1.0"]
-        assert run_cli(argv, capsys)[0] == 0
-        assert json.loads(out_path.read_text())["config_echo"]["seed"] == 7
 
     def test_no_standardize_flag(self, tmp_path, capsys, libsvm_pair):
         out_path = tmp_path / "result.json"
@@ -415,50 +383,13 @@ class TestMultilabel:
         assert cell["macro_f1"] == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert cell["micro_f1"] == pytest.approx(0.8, abs=1e-15)
 
-    @pytest.fixture(scope="class")
-    def acceptance_08_runs(self, tmp_path_factory):
-        # The full default grid on the data of acceptance 08, each method run
-        # once and shared by the tests below: its exit code, its chosen cell
-        # and the warnings of sparsemax.linear_model it logged.
-        root = tmp_path_factory.mktemp("acceptance_08")
-        cfg = SyntheticConfig(n_labels=6, n_train=200, n_test=200, mean_doc_length=2000.0, mixture="uniform", seed=11)
-        train, test = generate_synthetic(cfg)
-        write_libsvm_multilabel(train, root / "train.svm")
-        write_libsvm_multilabel(test, root / "test.svm")
-        fit_logger = logging.getLogger("sparsemax.linear_model")
-        runs = {}
-        for method in ("logistic", "softmax", "sparsemax"):
-            out_path = root / f"{method}.json"
-            argv = [
-                "multilabel",
-                "--train", str(root / "train.svm"),
-                "--test", str(root / "test.svm"),
-                "--method", method,
-                "--out", str(out_path),
-                "--seed", "0",
-            ]
-            records = []
-            handler = logging.Handler(logging.WARNING)
-            handler.emit = records.append
-            level = fit_logger.level
-            fit_logger.addHandler(handler)
-            fit_logger.setLevel(logging.WARNING)
-            try:
-                code = main(argv)
-            finally:
-                fit_logger.removeHandler(handler)
-                fit_logger.setLevel(level)
-            cell = json.loads(out_path.read_text())["per_cell_results"][0] if code == 0 else None
-            runs[method] = (code, cell, [r.getMessage() for r in records])
-        return runs
-
     @pytest.mark.parametrize("method", ["softmax", "sparsemax"])
     def test_every_fit_converges_on_the_acceptance_08_data(self, acceptance_08_runs, method):
         # The largest lam (100) puts the gradient-norm target below the
         # rounding of J.  When fit stopped on the gradient norm, softmax logged
         # 5 warnings (4 fits at the cap, one on a failed line search) and
         # sparsemax 1.
-        code, _, messages = acceptance_08_runs[method]
+        code, _, messages, _ = acceptance_08_runs[method]
         assert code == 0
         assert messages == []
 
@@ -475,7 +406,7 @@ class TestMultilabel:
             "sparsemax": (0.001, 2.0, 0.9944258639910813, 0.9944364894696021),
         }
         for method, pinned in expected.items():
-            code, cell, _ = acceptance_08_runs[method]
+            code, cell, _, _ = acceptance_08_runs[method]
             assert code == 0
             assert (cell["lambda"], cell["rule_param"], cell["micro_f1"], cell["macro_f1"]) == pinned
         stops = [

@@ -252,6 +252,7 @@ class TestBatchedOps:
     @example(row=np.array([0.0, -0.0, -0.5]))
     @example(row=np.array([-0.0, -0.0, -0.0]))
     @example(row=np.array([1.0, 1.0, 0.0]))
+    @example(row=np.array([1.0, 1.0, 2.00001, -3334.0]))
     @example(row=np.array([0.5, -0.0, 0.5]))
     @example(row=np.array([0.0, -0.0, -0.5, -0.5]))
     def test_row_threshold_matches_scalar(self, row):
@@ -261,7 +262,8 @@ class TestBatchedOps:
         # maximum must not change the shifted scores.  On the first example
         # the score 0.0 lies exactly at the threshold 0: the row kernel's
         # tau rounds an ulp below it and keeps it with a share of 1e-16,
-        # the 1-D kernel's does not.
+        # the 1-D kernel's does not.  The row with -3334 needs the oracle's
+        # tolerance scaled by each support's own scores (tests/helpers.py).
         scores = np.vstack([row, row[::-1]])
         assert_row_threshold_matches_scalar(scores)
         assert_row_threshold_matches_scalar(np.asfortranarray(scores))
@@ -745,22 +747,57 @@ class TestFit:
         assert len(products) <= 133
         assert len(blocks) <= 33
 
-    def test_underflowing_gradient_change_is_not_stored(self, caplog):
-        # Label 1 is on in every row, so at lam = 0 its unregularized bias runs
-        # to +inf and J decays towards 0.  About 540 iterations in, at J ~ 1e-162,
-        # a step's y = g_new - g has s^T y > 0 but y^T y rounds to 0; the two-loop
-        # scaling divides by y^T y of the newest pair, so that pair is dropped.
-        rng = np.random.default_rng(3)
-        X = 0.1 * rng.normal(size=(14, 3))
-        Q = rng.dirichlet([1.0, 1.0], size=14)
-        Q[3] = [0.0, 1.0]
+    def test_underflowing_gradient_change_is_not_stored(self, monkeypatch, caplog):
+        # The two-loop scaling divides by y^T y of the newest pair, so a step
+        # whose y = g_new - g has s^T y > 0 but y^T y rounding to 0 must not
+        # be stored.  fit minimizes J = a theta_0 + h theta_1^2 / 2 here in
+        # place of its loss, from theta_1 = 1 with a first trial step of
+        # 1 / (2 h): s_1 = -1/2 and y_1 = -h/2, so s^T y = h/4 and y^T y =
+        # h^2/4, which underflows at h = 1e-170.  The linear term, a = 1e-85,
+        # keeps the slope -g^T g from underflowing and has y_0 = 0.
+        a, h = 1e-85, 1e-170
+        points, pairs_seen = [], []
+        real_two_loop = linear_model._two_loop
+
+        def objective(theta, *args):
+            grad = np.zeros_like(theta)
+            grad[0], grad[1] = a, h * theta[1]
+            points.append((theta.copy(), grad))
+            return a * theta[0] + 0.5 * h * theta[1] ** 2, grad
+
+        def spying_two_loop(grad, pairs):
+            pairs_seen.append(len(pairs))
+            return real_two_loop(grad, pairs)
+
+        monkeypatch.setattr(linear_model, "_objective", objective)
+        monkeypatch.setattr(linear_model, "_two_loop", spying_two_loop)
+        cfg = TrainConfig(max_epochs=1, learning_rate=0.5 / h)
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
-            model = fit(LabeledDataset(X=X, Q=Q), TrainConfig(lam=0.0, max_epochs=2000), LOSS_BINARY_LOGISTIC)
+            fit(separable_line(), cfg, LOSS_BINARY_LOGISTIC, init=(np.zeros((2, 1)), [1.0, 0.0]))
+        (start, g), (end, g_new) = points
+        s, y = end - start, g_new - g
+        assert s.dot(y) > 0.0 and y.dot(y) == 0.0
+        assert pairs_seen == [0]
         (record,) = caplog.records
-        assert "after 2000 iterations: reached max_epochs" in record.getMessage()
-        assert model.b[1] > 100.0
-        # The gradient's squared norm underflows; the logged norm does not.
-        assert float(record.getMessage().split("|grad J| ")[1].split(",")[0]) > 0.0
+        assert "after 1 iterations: reached max_epochs" in record.getMessage()
+
+    def test_warning_gives_a_gradient_norm_whose_square_underflows(self, monkeypatch, caplog):
+        # fit minimizes J = exp(-theta_0) here in place of its loss, and its
+        # one step, of 400, leaves g = -exp(-400) = -1.9e-174, whose square
+        # underflows to 0.  The logged |grad J| must not.
+        def objective(theta, *args):
+            grad = np.zeros_like(theta)
+            grad[0] = -np.exp(-theta[0])
+            return float(np.exp(-theta[0])), grad
+
+        monkeypatch.setattr(linear_model, "_objective", objective)
+        with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
+            fit(separable_line(), TrainConfig(max_epochs=1, learning_rate=400.0), LOSS_BINARY_LOGISTIC)
+        (record,) = caplog.records
+        assert "after 1 iterations: reached max_epochs" in record.getMessage()
+        reported = float(record.getMessage().split("|grad J| ")[1].split(",")[0])
+        assert reported > 0.0
+        assert reported == pytest.approx(np.exp(-400.0), rel=1e-2)
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_duplicated_raw_columns_fit_at_any_scale(self, loss_kind, caplog):
@@ -866,20 +903,18 @@ class TestFit:
         value = objective_at(model, data, 1e-3, LOSS_LOGISTIC)[0]
         assert abs(value - scipy_optimum(data, 1e-3, LOSS_LOGISTIC)) <= 1e-6
 
-    def test_binary_fit_on_a_raw_count_column_is_not_certified_on_its_rounding(self, caplog):
-        # On the same data the binary fit falls to J ~ 2e-14, where the
-        # rounding of its on-label term leaves no trial step that decreases
-        # J.  The check fit then makes at theta finds a decrement of 1.04e-15,
-        # the dense one, against a target of 2.2e-21, so the fit must still warn.
+    def test_binary_fit_on_a_raw_count_column_reaches_the_optimum(self, caplog):
+        # On the same data the binary fit falls to J ~ 6e-17.  Written as
+        # logaddexp(0, s) - s, the on-label term lost its digits past s ~ 30,
+        # so the fit stopped at J ~ 2e-14 with no trial step that decreased
+        # J and a decrement of 1.04e-15 against a target of 2.2e-21.
         data = raw_count_column_problem()
         with caplog.at_level(logging.WARNING, logger="sparsemax.linear_model"):
             model = fit(data, TrainConfig(lam=1e-3), LOSS_BINARY_LOGISTIC)
-        (record,) = caplog.records
-        message = record.getMessage()
-        assert "no trial step passes the line search" in message
-        decrement = float(message.split("last Newton decrement at least ")[1])
-        value = objective_at(model, data, 1e-3, LOSS_BINARY_LOGISTIC)[0]
-        assert decrement >= 1e-15 > 1e5 * 1e-7 * value
+        assert caplog.records == []
+        value, decrement = exact_decrement(model, data, 1e-3, LOSS_BINARY_LOGISTIC)
+        assert abs(value - scipy_optimum(data, 1e-3, LOSS_BINARY_LOGISTIC)) <= 1e-6
+        assert decrement <= 1.01 * 1e-7 * value
 
     def test_regularization_shrinks_weights(self):
         data = separable_line()

@@ -1,6 +1,7 @@
 """Smoke tests of the experiment drivers in scripts/: each runs to the end
 in its own process and prints its summary table."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ def test_labelprop_sweep_quick(tmp_path):
     rows = [line.split() for line in lines[1:3]]
     assert [row[:2] for row in rows] == [["uniform", "100"], ["uniform", "400"]]
     assert all(0.0 <= float(v) for row in rows for v in row[2:])
+    # The script's --seed (default 1) reaches the run through the config it writes.
+    assert json.loads((tmp_path / "result.json").read_text())["config_echo"]["seed"] == 1
 
 
 def test_multilabel_demo(tmp_path):
